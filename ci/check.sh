@@ -35,18 +35,22 @@
 #  12. fleet telemetry gate: hcm_top must render the smoke-run series
 #      dump (top ops, shard throughput, health) with a nonzero row
 #      count — the dump format, the hcm_top parser, and the dashboard
-#      panels verify end to end on real scenario data.
+#      panels verify end to end on real scenario data;
+#  13. hcmbench smoke: two-second rpc-binary and rpc-soap runs of the
+#      framework benchmark. hcmbench checks every reply against its
+#      generated expectation and exits nonzero on a wrong one, so a
+#      broken wire path (either protocol) fails here end to end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "=== [1/12] tier-1: default preset (-Werror) ==="
+echo "=== [1/13] tier-1: default preset (-Werror) ==="
 cmake --preset default
 cmake --build --preset default -j "${JOBS}"
 ctest --preset default -j "${JOBS}"
 
-echo "=== [2/12] sanitizers: asan preset (ASan + UBSan) ==="
+echo "=== [2/13] sanitizers: asan preset (ASan + UBSan) ==="
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}"
 ctest --preset asan -j "${JOBS}" -R 'EventBridge'
@@ -55,26 +59,26 @@ ctest --preset asan -j "${JOBS}" -R 'EventBridge'
 ctest --preset asan -j "${JOBS}" -R 'StoreCrashRecovery'
 ctest --preset asan -j "${JOBS}"
 
-echo "=== [3/12] races: tsan preset (scheduler / event bridge / net) ==="
+echo "=== [3/13] races: tsan preset (scheduler / event bridge / net) ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}"
 ctest --preset tsan -j "${JOBS}" -R \
   'SchedulerTest|SpscQueueTest|WindowBarrierTest|ShardedKernelTest|ShardDeterminismTest|CityTest|DeterminismAuditTest|TraceRecorderTest|EventBridgeTest|EventBridgeUpnpTest|NetworkTest|StreamTest|Ieee1394Test|PowerlineTest|BinaryChannelTest|BlockPoolTest|ShardBlockPoolsTest'
 
-echo "=== [4/12] hcm_lint summary ==="
+echo "=== [4/13] hcm_lint summary ==="
 ./build/tools/hcm_lint/hcm_lint --root .
 
-echo "=== [5/12] hcm_analyze: static-analysis gate (archives ANALYZE_report.json) ==="
+echo "=== [5/13] hcm_analyze: static-analysis gate (archives ANALYZE_report.json) ==="
 ./build/tools/hcm_analyze/hcm_analyze --root . --json ANALYZE_report.json
 
-echo "=== [6/12] event-bridge bench smoke run ==="
+echo "=== [6/13] event-bridge bench smoke run ==="
 ./build/bench/bench_ext_event_bridge --benchmark_min_time=0.01
 
-echo "=== [7/12] VSR sync bench smoke run (archives BENCH_vsr_sync.json) ==="
+echo "=== [7/13] VSR sync bench smoke run (archives BENCH_vsr_sync.json) ==="
 ./build/bench/bench_ext_vsr_sync --benchmark_min_time=0.01 \
   --json BENCH_vsr_sync.json
 
-echo "=== [8/12] obs overhead bench + trace-export smoke check ==="
+echo "=== [8/13] obs overhead bench + trace-export smoke check ==="
 ./build/bench/bench_ext_obs_overhead --benchmark_min_time=0.01 \
   --json BENCH_obs_overhead.json --trace obs_trace_smoke.json
 # The export must be a Chrome trace with complete ("ph":"X") events for
@@ -88,7 +92,7 @@ fi
 echo "trace smoke check OK (${events} complete events)"
 rm -f obs_trace_smoke.json
 
-echo "=== [9/12] wire-throughput bench (perf preset, archives BENCH_wire_throughput.json) ==="
+echo "=== [9/13] wire-throughput bench (perf preset, archives BENCH_wire_throughput.json) ==="
 cmake --preset perf
 cmake --build --preset perf -j "${JOBS}" --target bench_ext_wire_throughput
 ./build-perf/bench/bench_ext_wire_throughput --calls 300 --streams 5000 \
@@ -98,7 +102,7 @@ grep -q '"calls_per_sec"' BENCH_wire_throughput.json
 # recycling is part of the wire gate (docs/PERFORMANCE.md §"Block pool").
 grep -q '"pool_hit_rate"' BENCH_wire_throughput.json
 
-echo "=== [10/12] durable store: recovery bench + hcm_store fsck/stats ==="
+echo "=== [10/13] durable store: recovery bench + hcm_store fsck/stats ==="
 store_smoke_dir="$(mktemp -d)/store"
 ./build/bench/bench_ext_store_recovery --benchmark_min_time=0.01 \
   --json BENCH_store_recovery.json --store-dir "${store_smoke_dir}"
@@ -107,18 +111,22 @@ grep -q '"compression_ratio"' BENCH_store_recovery.json
 ./build/tools/hcm_store/hcm_store stats "${store_smoke_dir}"
 rm -rf "$(dirname "${store_smoke_dir}")"
 
-echo "=== [11/12] shard-scaling bench + 100k-device smoke (archives BENCH_shard_scaling.json, SERIES_smoke.json) ==="
+echo "=== [11/13] shard-scaling bench + 100k-device smoke (archives BENCH_shard_scaling.json, SERIES_smoke.json) ==="
 ./build/bench/bench_ext_shard_scaling --smoke --json BENCH_shard_scaling.json \
   --series SERIES_smoke.json
 grep -q '"est_speedup"' BENCH_shard_scaling.json
 grep -q '"smoke_1000x100"' BENCH_shard_scaling.json
 grep -q '"hcm-series-v1"' SERIES_smoke.json
 
-echo "=== [12/12] fleet telemetry gate: hcm_top over the smoke-run series dump ==="
+echo "=== [12/13] fleet telemetry gate: hcm_top over the smoke-run series dump ==="
 # hcm_top exits nonzero when the dump parses to zero dashboard rows, so
 # a bare invocation is the gate; echo the row line for the CI log.
 ./build/tools/hcm_top/hcm_top SERIES_smoke.json
 rows="$(./build/tools/hcm_top/hcm_top SERIES_smoke.json | grep '^rows:' | awk '{print $2}')"
 echo "hcm_top rendered ${rows} rows from SERIES_smoke.json"
+
+echo "=== [13/13] hcmbench smoke: rpc-binary and rpc-soap end to end ==="
+python3 hcmbench/run.py --workload rpc-binary --seed 7919 --seconds 2
+python3 hcmbench/run.py --workload rpc-soap --seed 7919 --seconds 2
 
 echo "All checks passed."

@@ -62,6 +62,12 @@ class BufReader {
   [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
   [[nodiscard]] bool at_end() const { return pos_ == buf_.size(); }
   [[nodiscard]] std::size_t pos() const { return pos_; }
+  // The unread bytes, viewed in place; skip() advances past n of them.
+  [[nodiscard]] std::string_view rest() const {
+    return std::string_view(reinterpret_cast<const char*>(buf_.data()) + pos_,
+                            remaining());
+  }
+  void skip(std::size_t n) { pos_ += n < remaining() ? n : remaining(); }
 
  private:
   [[nodiscard]] bool has(std::size_t n) const { return remaining() >= n; }

@@ -151,18 +151,22 @@ Status X10Adapter::export_service(const LocalService& service,
   if (bindings_.count(service.name) != 0) {
     return already_exists("already bound to X10: " + service.name);
   }
-  if (next_unit_ > 16) {
+  // The lowest unit code no live binding holds: codes freed by
+  // unexport_service are handed out again, so churn never exhausts the
+  // house while fewer than 16 services are bound.
+  int unit = 1;
+  while (unit <= 16 && unit_to_name_.count(unit) != 0) ++unit;
+  if (unit > 16) {
     return resource_exhausted("house " +
                               std::string(x10::to_string(export_house_)) +
                               " has no free unit codes");
   }
   Binding binding;
-  binding.unit = next_unit_++;
+  binding.unit = unit;
   binding.on_method = pick_method(service, "x10.on", /*for_on=*/true);
   binding.off_method = pick_method(service, "x10.off", /*for_on=*/false);
   binding.handler = std::move(handler);
   if (binding.on_method.empty() && binding.off_method.empty()) {
-    --next_unit_;
     return invalid_argument(service.name +
                             " has no methods mappable to X10 ON/OFF");
   }

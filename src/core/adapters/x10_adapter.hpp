@@ -76,7 +76,6 @@ class X10Adapter : public MiddlewareAdapter {
   std::map<std::string, Binding> bindings_;   // by service name
   std::map<int, std::string> unit_to_name_;
   std::map<std::string, AdapterEventFn> watched_;  // by module name
-  int next_unit_ = 1;
 };
 
 }  // namespace hcm::core

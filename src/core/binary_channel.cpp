@@ -1,53 +1,115 @@
 #include "core/binary_channel.hpp"
 
+#include <algorithm>
+
 #include "common/bytes.hpp"
 #include "obs/slab.hpp"
 #include "obs/trace.hpp"
 
 namespace hcm::core {
 
-namespace {
+namespace binary_wire {
 
-Bytes frame(const Bytes& payload) {
-  BufWriter w;
-  w.put_u32(static_cast<std::uint32_t>(payload.size()));
-  w.put_raw(payload);
-  return w.take();
+void write_request(BlockStream& out, const Request& req,
+                   const ValueList& args) {
+  const bool traced = req.trace.valid();
+  std::size_t body =
+      kEncodedHeaderSize + encoded_entry_size("args", encoded_size(args)) +
+      encoded_entry_size("id", kEncodedIntSize) +
+      encoded_entry_size("method", encoded_string_size(req.method)) +
+      encoded_entry_size("svc", encoded_string_size(req.service));
+  if (traced) {
+    body += encoded_entry_size("tr",
+                               kEncodedHeaderSize + 2 * kEncodedIntSize);
+  }
+  WireWriter w(out);
+  put_frame_header(w, body);
+  w.map_header(traced ? 5 : 4);
+  w.put_string("args");
+  encode_list(args, w);
+  w.put_string("id");
+  w.int_value(static_cast<std::int64_t>(req.id));
+  w.put_string("method");
+  w.string_value(req.method);
+  w.put_string("svc");
+  w.string_value(req.service);
+  if (traced) {
+    w.put_string("tr");
+    w.list_header(2);
+    w.int_value(static_cast<std::int64_t>(req.trace.trace_id));
+    w.int_value(static_cast<std::int64_t>(req.trace.span_id));
+  }
 }
 
-// Incremental length-prefix deframer (shared shape with jini's, but the
-// binary VSG channel is its own protocol). Accumulates in pooled
-// blocks: deliveries splice in, drained frames release their blocks.
-class Deframer {
- public:
-  Status feed(BlockStream&& data, std::vector<Bytes>& out) {
-    buf_.splice(std::move(data));
-    while (buf_.size() >= 4) {
-      std::uint8_t hdr[4];
-      buf_.copy_to(hdr, 0, 4);
-      std::uint32_t len = (static_cast<std::uint32_t>(hdr[0]) << 24) |
-                          (static_cast<std::uint32_t>(hdr[1]) << 16) |
-                          (static_cast<std::uint32_t>(hdr[2]) << 8) |
-                          static_cast<std::uint32_t>(hdr[3]);
-      if (len > 16 * 1024 * 1024) return protocol_error("frame too large");
-      if (buf_.size() < 4u + len) return Status::ok();
-      Bytes frame(len);
-      buf_.copy_to(frame.data(), 4, len);
-      buf_.consume(4u + len);
-      out.push_back(std::move(frame));
+Status decode_request(std::string_view frame, Request& req,
+                      ValueList& args) {
+  req = Request{};
+  args.clear();
+  WireReader r(frame);
+  std::uint32_t n = 0;
+  if (auto s = read_map_header(r, n); !s.is_ok()) return s;
+  // The common shapes (an args list, string names) decode in place;
+  // anything else decodes into `field` and is read leniently. A
+  // repeated key keeps its first occurrence, as a decoded ValueMap
+  // would.
+  bool seen_args = false, seen_id = false, seen_svc = false,
+       seen_method = false, seen_tr = false;
+  Value field;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::string_view key;
+    std::uint8_t tag = 0;
+    if (!r.string(key) || !r.peek(tag)) {
+      return protocol_error("truncated envelope");
     }
-    return Status::ok();
+    const auto type = static_cast<ValueType>(tag);
+    if (key == "args" && !seen_args && type == ValueType::kList) {
+      seen_args = true;
+      if (auto s = decode_list(r, args, 1); !s.is_ok()) return s;
+      continue;
+    }
+    const bool svc = key == "svc" && !seen_svc;
+    const bool method = key == "method" && !seen_method;
+    if ((svc || method) && type == ValueType::kString) {
+      std::string_view name;
+      if (!r.u8(tag) || !r.string(name)) return protocol_error("truncated name");
+      (svc ? req.service : req.method) = name;
+      (svc ? seen_svc : seen_method) = true;
+      continue;
+    }
+    if (auto s = decode_value(r, field, 1); !s.is_ok()) return s;
+    if (key == "args") {
+      seen_args = true;
+    } else if (svc) {
+      seen_svc = true;
+    } else if (method) {
+      seen_method = true;
+    } else if (key == "id" && !seen_id) {
+      seen_id = true;
+      req.id = static_cast<std::uint64_t>(field.to_int().value_or(0));
+    } else if (key == "tr" && !seen_tr) {
+      seen_tr = true;
+      if (field.is_list() && field.as_list().size() == 2) {
+        const auto& tr = field.as_list();
+        req.trace.trace_id =
+            static_cast<std::uint64_t>(tr[0].to_int().value_or(0));
+        req.trace.span_id =
+            static_cast<std::uint64_t>(tr[1].to_int().value_or(0));
+      }
+    }
   }
+  if (!r.at_end()) return protocol_error("trailing bytes after envelope");
+  return Status::ok();
+}
 
- private:
-  BlockStream buf_;
-};
-
-}  // namespace
+}  // namespace binary_wire
 
 struct BinaryRpcServer::Conn {
   net::StreamPtr stream;
   Deframer deframer;
+  // Reused frame to frame: a handler reads these during its call and
+  // copies whatever it keeps, as with any ServiceHandler.
+  ValueList args;
+  std::string method;
 };
 
 BinaryRpcServer::BinaryRpcServer(net::Network& net, net::NodeId node,
@@ -103,83 +165,144 @@ void BinaryRpcServer::on_accept(net::StreamPtr stream) {
   connections_.push_back(conn);
   stream->set_on_close([conn] { conn->stream = nullptr; });
   stream->set_on_data([this, conn](BlockStream&& data) {
-    std::vector<Bytes> frames;
-    if (!conn->deframer.feed(std::move(data), frames).is_ok()) {
-      if (conn->stream) conn->stream->close();
-      return;
-    }
-    for (const auto& f : frames) {
-      auto msg = decode_value(f);
-      if (!msg.is_ok() || !msg.value().is_map()) continue;
-      const Value& m = msg.value();
-      auto id = m.at("id").to_int().value_or(0);
-      const std::string svc =
-          m.at("svc").is_string() ? m.at("svc").as_string() : "";
-      const std::string method =
-          m.at("method").is_string() ? m.at("method").as_string() : "";
-      ValueList args =
-          m.at("args").is_list() ? m.at("args").as_list() : ValueList{};
-      calls_served_.inc();
-
-      // "tr" frame field = [trace_id, span_id] of the caller's span;
-      // rejoin that trace for the duration of the dispatch.
-      obs::TraceContext wire_ctx;
-      if (m.at("tr").is_list() && m.at("tr").as_list().size() == 2) {
-        const auto& tr = m.at("tr").as_list();
-        wire_ctx.trace_id =
-            static_cast<std::uint64_t>(tr[0].to_int().value_or(0));
-        wire_ctx.span_id =
-            static_cast<std::uint64_t>(tr[1].to_int().value_or(0));
-      }
-      auto& tracer = obs::Tracer::global();
-      auto& sched = net_.scheduler();
-      obs::Tracer::Scope wire_scope(tracer, wire_ctx);
-      const std::uint64_t span_id = tracer.begin_span(
-          "binary.server:" + method, "binary.server", sched.now());
-      obs::Tracer::Scope span_scope(tracer, tracer.context_of(span_id));
-
-      auto reply = [conn, id, &tracer, &sched, span_id,
-                    &latency = dispatch_latency_us_,
-                    start = sched.now()](Result<Value> result) {
-        latency.observe(sched.now() - start);
-        tracer.end_span(span_id, sched.now(), result.is_ok());
-        if (!conn->stream || !conn->stream->is_open()) return;
-        ValueMap r{{"id", Value(id)}, {"ok", Value(result.is_ok())}};
-        if (result.is_ok()) {
-          r["value"] = std::move(result).take();
-        } else {
-          r["code"] =
-              Value(static_cast<std::int64_t>(result.status().code()));
-          r["msg"] = Value(result.status().message());
-        }
-        conn->stream->send(frame(encode_value(Value(std::move(r)))));
-      };
-
-      auto it = services_.find(svc);
-      if (it == services_.end()) {
-        reply(not_found("no binary service: " + svc));
-        continue;
-      }
-      it->second(method, args, reply);
-    }
+    on_data(conn, std::move(data));
   });
 }
 
+void BinaryRpcServer::on_data(std::shared_ptr<Conn> conn,
+                              BlockStream&& data) {
+  conn->deframer.push(std::move(data));
+  std::string_view frame;
+  binary_wire::Request req;
+  for (;;) {
+    auto got = conn->deframer.next_frame(frame);
+    // A peer that sends an oversized or undecodable frame is broken;
+    // the connection cannot be trusted past it.
+    if (got.is_ok() && got.value() &&
+        !binary_wire::decode_request(frame, req, conn->args).is_ok()) {
+      got = protocol_error("bad binary request");
+    }
+    if (!got.is_ok()) {
+      if (conn->stream) conn->stream->close();
+      return;
+    }
+    if (!got.value()) return;
+    dispatch(conn, req);
+  }
+}
+
+void BinaryRpcServer::dispatch(const std::shared_ptr<Conn>& conn,
+                               const binary_wire::Request& req) {
+  calls_served_.inc();
+  // The frame's trace ids are the caller's span; rejoin that trace for
+  // the duration of the dispatch. The span label is built only while
+  // tracing records.
+  auto& tracer = obs::Tracer::global();
+  auto& sched = net_.scheduler();
+  obs::Tracer::Scope wire_scope(
+      tracer, obs::TraceContext{req.trace.trace_id, req.trace.span_id, 0});
+  const std::uint64_t span_id =
+      tracer.enabled()
+          ? tracer.begin_span("binary.server:" + std::string(req.method),
+                              "binary.server", sched.now())
+          : 0;
+  obs::Tracer::Scope span_scope(
+      tracer, span_id != 0 ? tracer.context_of(span_id) : obs::TraceContext{});
+
+  auto reply = [conn, id = req.id, &tracer, &sched, span_id,
+                &latency = dispatch_latency_us_,
+                start = sched.now()](Result<Value> result) {
+    latency.observe(sched.now() - start);
+    tracer.end_span(span_id, sched.now(), result.is_ok());
+    if (!conn->stream || !conn->stream->is_open()) return;
+    BlockStream frame;
+    write_reply_frame(frame, id, result);
+    conn->stream->send(std::move(frame));
+  };
+
+  auto it = services_.find(req.service);
+  if (it == services_.end()) {
+    reply(not_found("no binary service: " + std::string(req.service)));
+    return;
+  }
+  conn->method.assign(req.method);
+  it->second(conn->method, conn->args, std::move(reply));
+}
+
 struct BinaryRpcClient::Conn {
+  // One outstanding call. Its completion bookkeeping lives here rather
+  // than in a wrapper around `done`, which would not fit the callback's
+  // inline buffer and would cost a heap cell per call.
+  struct Call {
+    std::uint64_t id = 0;
+    std::uint64_t span_id = 0;
+    sim::SimTime start = 0;
+    InvokeResultFn done;
+  };
+  // A call made while the connection is still being set up: already
+  // encoded, sent as soon as the stream opens.
+  struct Queued {
+    BlockStream frame;
+    Call call;
+  };
+
   net::StreamPtr stream;
   Deframer deframer;
   bool connecting = false;
-  std::vector<std::function<void(const Status&)>> waiters;
   std::uint64_t next_id = 1;
-  std::map<std::uint64_t, InvokeResultFn> pending;
+  std::vector<Queued> queued;
+  std::vector<Call> pending;  // in id order; replies usually come in order
+  // Long-lived: the scheduler and the registry's metrics outlive every
+  // connection, including one whose client is already gone.
+  sim::Scheduler* sched = nullptr;
+  obs::Histogram* latency = nullptr;
+  obs::Counter* errors = nullptr;
+
+  void finish(Call& call, Result<Value> r) {
+    latency->observe(sched->now() - call.start);
+    if (!r.is_ok()) errors->inc();
+    obs::Tracer::global().end_span(call.span_id, sched->now(), r.is_ok());
+    call.done(std::move(r));
+  }
 
   void fail_all(const Status& s) {
     auto p = std::move(pending);
     pending.clear();
-    for (auto& [id, done] : p) done(s);
-    auto w = std::move(waiters);
-    waiters.clear();
-    for (auto& fn : w) fn(s);
+    for (auto& call : p) finish(call, s);
+    auto q = std::move(queued);
+    queued.clear();
+    for (auto& entry : q) finish(entry.call, s);
+  }
+
+  // Drops the connection after a broken frame; its calls fail.
+  void abort(const Status& s) {
+    if (stream) stream->close();
+    fail_all(s);
+  }
+
+  void on_data(BlockStream&& data) {
+    deframer.push(std::move(data));
+    std::string_view frame;
+    for (;;) {
+      auto got = deframer.next_frame(frame);
+      if (!got.is_ok()) {
+        abort(got.status());
+        return;
+      }
+      if (!got.value()) return;
+      std::uint64_t id = 0;
+      Result<Value> result = Value();
+      if (auto s = decode_reply_frame(frame, id, result); !s.is_ok()) {
+        abort(s);
+        return;
+      }
+      auto it = std::find_if(pending.begin(), pending.end(),
+                             [id](const Call& c) { return c.id == id; });
+      if (it == pending.end()) continue;
+      Call call = std::move(*it);
+      pending.erase(it);
+      finish(call, std::move(result));
+    }
   }
 };
 
@@ -195,6 +318,9 @@ std::shared_ptr<BinaryRpcClient::Conn> BinaryRpcClient::conn_for(
   auto it = conns_.find(dest);
   if (it != conns_.end()) return it->second;
   auto conn = std::make_shared<Conn>();
+  conn->sched = &net_.scheduler();
+  conn->latency = &latency_;
+  conn->errors = &errors_;
   conns_[dest] = conn;
   return conn;
 }
@@ -205,54 +331,41 @@ void BinaryRpcClient::call(net::Endpoint dest, const std::string& service,
   calls_.inc();
   auto& tracer = obs::Tracer::global();
   auto& sched = net_.scheduler();
-  const std::uint64_t span_id = tracer.begin_span(
-      "binary.call:" + method, "binary.client", sched.now());
-  done = [this, done = std::move(done), &tracer, &sched, span_id,
-          start = sched.now()](Result<Value> r) {
-    latency_.observe(sched.now() - start);
-    if (!r.is_ok()) errors_.inc();
-    tracer.end_span(span_id, sched.now(), r.is_ok());
-    done(std::move(r));
-  };
-  const obs::TraceContext trace = tracer.context_of(span_id);
+  const std::uint64_t span_id =
+      tracer.enabled() ? tracer.begin_span("binary.call:" + method,
+                                           "binary.client", sched.now())
+                       : 0;
   auto conn = conn_for(dest);
-  auto send = [conn, service, method, args, trace,
-               done = std::move(done)](const Status& s) mutable {
-    if (!s.is_ok()) {
-      done(s);
-      return;
-    }
-    auto id = conn->next_id++;
-    conn->pending[id] = std::move(done);
-    ValueMap req{
-        {"id", Value(static_cast<std::int64_t>(id))},
-        {"svc", Value(service)},
-        {"method", Value(method)},
-        {"args", Value(args)},
-    };
-    if (trace.valid()) {
-      req["tr"] = Value(ValueList{
-          Value(static_cast<std::int64_t>(trace.trace_id)),
-          Value(static_cast<std::int64_t>(trace.span_id))});
-    }
-    conn->stream->send(frame(encode_value(Value(std::move(req)))));
-  };
+  const binary_wire::Request req{
+      conn->next_id++, service, method,
+      span_id != 0 ? tracer.context_of(span_id) : obs::TraceContext{}};
+  Conn::Call call{req.id, span_id, sched.now(), std::move(done)};
   if (conn->stream && conn->stream->is_open()) {
-    send(Status::ok());
+    BlockStream frame;
+    binary_wire::write_request(frame, req, args);
+    conn->pending.push_back(std::move(call));
+    conn->stream->send(std::move(frame));
     return;
   }
-  conn->waiters.push_back(std::move(send));
-  if (conn->connecting) return;
+  Conn::Queued queued{BlockStream(), std::move(call)};
+  binary_wire::write_request(queued.frame, req, args);
+  conn->queued.push_back(std::move(queued));
+  if (!conn->connecting) connect(conn, dest);
+}
+
+void BinaryRpcClient::connect(const std::shared_ptr<Conn>& conn,
+                              net::Endpoint dest) {
   conn->connecting = true;
   net_.connect(node_, dest, [conn](Result<net::StreamPtr> r) {
     conn->connecting = false;
     if (!r.is_ok()) {
-      auto waiters = std::move(conn->waiters);
-      conn->waiters.clear();
-      for (auto& w : waiters) w(r.status());
+      auto queued = std::move(conn->queued);
+      conn->queued.clear();
+      for (auto& entry : queued) conn->finish(entry.call, r.status());
       return;
     }
     conn->stream = r.value();
+    conn->deframer = Deframer();
     // Weak captures: conn owns the stream, and the client's conns_ map
     // owns conn — a strong capture here would be a Conn<->Stream cycle
     // that outlives the client.
@@ -263,35 +376,14 @@ void BinaryRpcClient::call(net::Endpoint dest, const std::string& service,
       }
     });
     conn->stream->set_on_data([wconn](BlockStream&& data) {
-      auto conn = wconn.lock();
-      if (!conn) return;
-      std::vector<Bytes> frames;
-      if (!conn->deframer.feed(std::move(data), frames).is_ok()) {
-        conn->stream->close();
-        return;
-      }
-      for (const auto& f : frames) {
-        auto msg = decode_value(f);
-        if (!msg.is_ok() || !msg.value().is_map()) continue;
-        const Value& m = msg.value();
-        auto id = static_cast<std::uint64_t>(m.at("id").to_int().value_or(0));
-        auto it = conn->pending.find(id);
-        if (it == conn->pending.end()) continue;
-        auto done = std::move(it->second);
-        conn->pending.erase(it);
-        if (m.at("ok").is_bool() && m.at("ok").as_bool()) {
-          done(m.at("value"));
-        } else {
-          auto code = m.at("code").to_int().value_or(
-              static_cast<std::int64_t>(StatusCode::kInternal));
-          done(Status(static_cast<StatusCode>(code),
-                      m.at("msg").is_string() ? m.at("msg").as_string() : ""));
-        }
-      }
+      if (auto c = wconn.lock()) c->on_data(std::move(data));
     });
-    auto waiters = std::move(conn->waiters);
-    conn->waiters.clear();
-    for (auto& w : waiters) w(Status::ok());
+    auto queued = std::move(conn->queued);
+    conn->queued.clear();
+    for (auto& entry : queued) {
+      conn->pending.push_back(std::move(entry.call));
+      conn->stream->send(std::move(entry.frame));
+    }
   });
 }
 

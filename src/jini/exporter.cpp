@@ -50,47 +50,51 @@ void Exporter::on_accept(net::StreamPtr stream) {
   connections_.push_back(conn);
   stream->set_on_close([conn] { conn->stream = nullptr; });
   stream->set_on_data([this, conn](BlockStream&& data) {
-    std::vector<Bytes> frames;
-    auto status = conn->reader.feed(std::move(data), frames);
-    if (!status.is_ok()) {
-      log_warn("jini", "bad frame, closing: ", status.to_string());
-      if (conn->stream) conn->stream->close();
-      return;
-    }
-    for (const auto& f : frames) handle_frame(f, conn);
+    on_data(conn, std::move(data));
   });
 }
 
-void Exporter::handle_frame(const Bytes& payload,
-                            const std::shared_ptr<Conn>& conn) {
-  auto call = decode_call(payload);
-  if (!call.is_ok()) {
-    log_warn("jini", "undecodable call: ", call.status().to_string());
-    if (conn->stream) conn->stream->close();
-    return;
+void Exporter::on_data(std::shared_ptr<Conn> conn, BlockStream&& data) {
+  conn->deframer.push(std::move(data));
+  std::string_view frame;
+  CallView call;
+  for (;;) {
+    auto got = conn->deframer.next_frame(frame);
+    if (!got.is_ok()) {
+      log_warn("jini", "bad frame, closing: ", got.status().to_string());
+      if (conn->stream) conn->stream->close();
+      return;
+    }
+    if (!got.value()) return;
+    if (auto s = decode_call(frame, call, conn->args); !s.is_ok()) {
+      log_warn("jini", "undecodable call: ", s.to_string());
+      if (conn->stream) conn->stream->close();
+      return;
+    }
+    dispatch(conn, call);
   }
+}
+
+void Exporter::dispatch(const std::shared_ptr<Conn>& conn,
+                        const CallView& call) {
   ++calls_served_;
-  const CallMessage& msg = call.value();
-  auto reply_with = [conn, call_id = msg.call_id,
-                     one_way = msg.one_way](Result<Value> result) {
+  auto reply_with = [conn, call_id = call.call_id,
+                     one_way = call.one_way](Result<Value> result) {
     if (one_way) return;  // fire-and-forget
     if (!conn->stream || !conn->stream->is_open()) return;
-    ReplyMessage reply;
-    reply.call_id = call_id;
-    if (result.is_ok()) {
-      reply.value = std::move(result).take();
-    } else {
-      reply.status = result.status();
-    }
-    conn->stream->send(frame(encode_reply(reply)));
+    BlockStream frame;
+    write_reply_frame(frame, call_id, result);
+    conn->stream->send(std::move(frame));
   };
 
-  auto it = objects_.find(msg.service_id);
+  auto it = objects_.find(call.service_id);
   if (it == objects_.end()) {
-    reply_with(not_found("no exported object: " + msg.service_id));
+    reply_with(
+        not_found("no exported object: " + std::string(call.service_id)));
     return;
   }
-  it->second(msg.method, msg.args, reply_with);
+  conn->method.assign(call.method);
+  it->second(conn->method, conn->args, std::move(reply_with));
 }
 
 }  // namespace hcm::jini

@@ -37,11 +37,18 @@ class Exporter {
  private:
   struct Conn {
     net::StreamPtr stream;
-    FrameReader reader;
+    Deframer deframer;
+    // Reused call to call: a handler reads these during its call and
+    // copies whatever it keeps, as with any ServiceHandler.
+    ValueList args;
+    std::string method;
   };
 
   void on_accept(net::StreamPtr stream);
-  void handle_frame(const Bytes& payload, const std::shared_ptr<Conn>& conn);
+  // By value: the stream's handler may be dropped while a frame is
+  // being dispatched, and the connection must outlive that.
+  void on_data(std::shared_ptr<Conn> conn, BlockStream&& data);
+  void dispatch(const std::shared_ptr<Conn>& conn, const CallView& call);
 
   net::Network& net_;
   net::NodeId node_;
@@ -49,7 +56,7 @@ class Exporter {
   bool listening_ = false;
   // Live connections, detached on stop() (their callbacks capture this).
   std::vector<std::weak_ptr<Conn>> connections_;
-  std::map<std::string, ServiceHandler> objects_;
+  std::map<std::string, ServiceHandler, std::less<>> objects_;
   std::uint64_t calls_served_ = 0;
 };
 

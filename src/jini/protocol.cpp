@@ -35,70 +35,142 @@ Result<ServiceItem> ServiceItem::from_value(const Value& v) {
   return item;
 }
 
+void write_call_frame(BlockStream& out, std::uint64_t call_id,
+                      std::string_view service_id, std::string_view method,
+                      const ValueList& args, bool one_way) {
+  const std::size_t body =
+      kEncodedHeaderSize + encoded_entry_size("args", encoded_size(args)) +
+      encoded_entry_size("id", kEncodedIntSize) +
+      encoded_entry_size("method", encoded_string_size(method)) +
+      encoded_entry_size("oneWay", kEncodedBoolSize) +
+      encoded_entry_size("svc", encoded_string_size(service_id));
+  WireWriter w(out);
+  put_frame_header(w, body);
+  w.map_header(5);
+  w.put_string("args");
+  encode_list(args, w);
+  w.put_string("id");
+  w.int_value(static_cast<std::int64_t>(call_id));
+  w.put_string("method");
+  w.string_value(method);
+  w.put_string("oneWay");
+  w.bool_value(one_way);
+  w.put_string("svc");
+  w.string_value(service_id);
+}
+
+Status decode_call(std::string_view frame, CallView& call, ValueList& args) {
+  call = CallView{};
+  args.clear();
+  WireReader r(frame);
+  std::uint32_t n = 0;
+  if (auto s = read_map_header(r, n); !s.is_ok()) return s;
+  // An args list decodes in place and string names are viewed; other
+  // fields decode into `field`. A repeated key keeps its first
+  // occurrence, as a decoded ValueMap would.
+  bool seen_args = false, seen_id = false, seen_svc = false,
+       seen_method = false, seen_one_way = false;
+  bool has_id = false;
+  Value field;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::string_view key;
+    std::uint8_t tag = 0;
+    if (!r.string(key) || !r.peek(tag)) {
+      return protocol_error("truncated call");
+    }
+    const auto type = static_cast<ValueType>(tag);
+    if (key == "args" && !seen_args && type == ValueType::kList) {
+      seen_args = true;
+      if (auto s = decode_list(r, args, 1); !s.is_ok()) return s;
+      continue;
+    }
+    const bool svc = key == "svc" && !seen_svc;
+    const bool method = key == "method" && !seen_method;
+    if (svc || method) {
+      std::string_view name;
+      if (type != ValueType::kString) {
+        return protocol_error("call missing service/method");
+      }
+      if (!r.u8(tag) || !r.string(name)) return protocol_error("truncated call");
+      (svc ? call.service_id : call.method) = name;
+      (svc ? seen_svc : seen_method) = true;
+      continue;
+    }
+    if (auto s = decode_value(r, field, 1); !s.is_ok()) return s;
+    if (key == "args") {
+      seen_args = true;
+    } else if (key == "id" && !seen_id) {
+      seen_id = true;
+      auto id = field.to_int();
+      if (id.is_ok()) {
+        has_id = true;
+        call.call_id = static_cast<std::uint64_t>(id.value());
+      }
+    } else if (key == "oneWay" && !seen_one_way) {
+      seen_one_way = true;
+      call.one_way = field.is_bool() && field.as_bool();
+    }
+  }
+  if (!r.at_end()) return protocol_error("trailing bytes after call");
+  if (!has_id) return protocol_error("call missing id");
+  if (!seen_svc || !seen_method) {
+    return protocol_error("call missing service/method");
+  }
+  return Status::ok();
+}
+
+namespace {
+
+std::string_view view_of(const Bytes& b) {
+  return std::string_view(reinterpret_cast<const char*>(b.data()), b.size());
+}
+
+// The flat forms are the wire forms minus the 4-byte length prefix.
+Bytes strip_frame_header(const BlockStream& framed) {
+  Bytes out = framed.to_bytes();
+  out.erase(out.begin(), out.begin() + 4);
+  return out;
+}
+
+}  // namespace
+
 Bytes encode_call(const CallMessage& m) {
-  return encode_value(Value(ValueMap{
-      {"id", Value(static_cast<std::int64_t>(m.call_id))},
-      {"svc", Value(m.service_id)},
-      {"method", Value(m.method)},
-      {"args", Value(m.args)},
-      {"oneWay", Value(m.one_way)},
-  }));
+  BlockStream framed;
+  write_call_frame(framed, m.call_id, m.service_id, m.method, m.args,
+                   m.one_way);
+  return strip_frame_header(framed);
 }
 
 Result<CallMessage> decode_call(const Bytes& b) {
-  auto v = decode_value(b);
-  if (!v.is_ok()) return v.status();
-  const Value& m = v.value();
-  if (!m.is_map()) return protocol_error("call is not a map");
+  CallView view;
   CallMessage out;
-  auto id = m.at("id").to_int();
-  if (!id.is_ok()) return protocol_error("call missing id");
-  out.call_id = static_cast<std::uint64_t>(id.value());
-  if (!m.at("svc").is_string() || !m.at("method").is_string()) {
-    return protocol_error("call missing service/method");
-  }
-  out.service_id = m.at("svc").as_string();
-  out.method = m.at("method").as_string();
-  if (m.at("args").is_list()) out.args = m.at("args").as_list();
-  out.one_way = m.at("oneWay").is_bool() && m.at("oneWay").as_bool();
+  if (auto s = decode_call(view_of(b), view, out.args); !s.is_ok()) return s;
+  out.call_id = view.call_id;
+  out.service_id = std::string(view.service_id);
+  out.method = std::string(view.method);
+  out.one_way = view.one_way;
   return out;
 }
 
 Bytes encode_reply(const ReplyMessage& m) {
-  ValueMap map{
-      {"id", Value(static_cast<std::int64_t>(m.call_id))},
-      {"ok", Value(m.status.is_ok())},
-  };
-  if (m.status.is_ok()) {
-    map["value"] = m.value;
-  } else {
-    map["code"] = Value(static_cast<std::int64_t>(m.status.code()));
-    map["msg"] = Value(m.status.message());
-  }
-  return encode_value(Value(std::move(map)));
+  BlockStream framed;
+  write_reply_frame(framed, m.call_id,
+                    m.status.is_ok() ? Result<Value>(m.value)
+                                     : Result<Value>(m.status));
+  return strip_frame_header(framed);
 }
 
 Result<ReplyMessage> decode_reply(const Bytes& b) {
-  auto v = decode_value(b);
-  if (!v.is_ok()) return v.status();
-  const Value& m = v.value();
-  if (!m.is_map()) return protocol_error("reply is not a map");
   ReplyMessage out;
-  auto id = m.at("id").to_int();
-  if (!id.is_ok()) return protocol_error("reply missing id");
-  out.call_id = static_cast<std::uint64_t>(id.value());
-  if (!m.at("ok").is_bool()) return protocol_error("reply missing ok");
-  if (m.at("ok").as_bool()) {
-    out.value = m.at("value");
+  Result<Value> result = Value();
+  if (auto s = decode_reply_frame(view_of(b), out.call_id, result);
+      !s.is_ok()) {
+    return s;
+  }
+  if (result.is_ok()) {
+    out.value = std::move(result).take();
   } else {
-    auto code = m.at("code").to_int();
-    if (!code.is_ok() || code.value() < 0 ||
-        code.value() > static_cast<int>(StatusCode::kResourceExhausted)) {
-      return protocol_error("reply missing error code");
-    }
-    out.status = Status(
-        static_cast<StatusCode>(code.value()),
-        m.at("msg").is_string() ? m.at("msg").as_string() : "");
+    out.status = result.status();
   }
   return out;
 }
@@ -108,27 +180,6 @@ Bytes frame(const Bytes& payload) {
   w.put_u32(static_cast<std::uint32_t>(payload.size()));
   w.put_raw(payload);
   return w.take();
-}
-
-Status FrameReader::feed(BlockStream&& data, std::vector<Bytes>& out) {
-  buf_.splice(std::move(data));
-  while (buf_.size() >= 4) {
-    std::uint8_t hdr[4];
-    buf_.copy_to(hdr, 0, 4);
-    std::uint32_t len = (static_cast<std::uint32_t>(hdr[0]) << 24) |
-                        (static_cast<std::uint32_t>(hdr[1]) << 16) |
-                        (static_cast<std::uint32_t>(hdr[2]) << 8) |
-                        static_cast<std::uint32_t>(hdr[3]);
-    if (len > 16 * 1024 * 1024) {
-      return protocol_error("frame too large: " + std::to_string(len));
-    }
-    if (buf_.size() < 4u + len) return Status::ok();
-    Bytes frame(len);
-    buf_.copy_to(frame.data(), 4, len);
-    buf_.consume(4u + len);
-    out.push_back(std::move(frame));
-  }
-  return Status::ok();
 }
 
 }  // namespace hcm::jini

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/block_stream.hpp"
 #include "common/bytes.hpp"
@@ -13,6 +14,7 @@
 #include "common/service.hpp"
 #include "common/status.hpp"
 #include "common/value.hpp"
+#include "common/wire_frame.hpp"
 #include "net/address.hpp"
 
 namespace hcm::jini {
@@ -52,24 +54,37 @@ struct ReplyMessage {
   Value value;
 };
 
+// Flat forms: one envelope as Bytes, without a length prefix.
 [[nodiscard]] Bytes encode_call(const CallMessage& m);
 [[nodiscard]] Result<CallMessage> decode_call(const Bytes& b);
 [[nodiscard]] Bytes encode_reply(const ReplyMessage& m);
 [[nodiscard]] Result<ReplyMessage> decode_reply(const Bytes& b);
 
+// Wire forms on the shared framing (common/wire_frame.hpp). A call is
+// {args, id, method, oneWay, svc}; a reply is the shared reply
+// envelope, written with write_reply_frame and read with
+// decode_reply_frame.
+//
+// Appends one call frame (length prefix included) to `out`.
+void write_call_frame(BlockStream& out, std::uint64_t call_id,
+                      std::string_view service_id, std::string_view method,
+                      const ValueList& args, bool one_way);
+
+// A call decoded out of a frame: the names view the frame, the
+// arguments go to a caller-owned (reusable) list.
+struct CallView {
+  std::uint64_t call_id = 0;
+  std::string_view service_id;
+  std::string_view method;
+  bool one_way = false;
+};
+[[nodiscard]] Status decode_call(std::string_view frame, CallView& call,
+                                 ValueList& args);
+
 // Length-prefix framing for streams: u32 length + payload.
 [[nodiscard]] Bytes frame(const Bytes& payload);
 
-// Incremental deframer. Accumulates in pooled blocks: delivered
-// payloads splice in and drained frames release their blocks, so
-// steady-state deframing does no buffer grow/shrink heap traffic.
-class FrameReader {
- public:
-  // Feed stream bytes; complete frames are appended to `out`.
-  Status feed(BlockStream&& data, std::vector<Bytes>& out);
-
- private:
-  BlockStream buf_;
-};
+// The stream deframer is the one shared with the binary VSG channel.
+using FrameReader = Deframer;
 
 }  // namespace hcm::jini

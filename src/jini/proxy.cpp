@@ -1,30 +1,101 @@
 #include "jini/proxy.hpp"
 
+#include <algorithm>
+
 namespace hcm::jini {
 
 struct Proxy::Shared {
-  net::StreamPtr stream;
-  FrameReader reader;
-  bool connecting = false;
-  std::vector<std::function<void(const Status&)>> waiters;
-  std::uint64_t next_call_id = 1;
   struct Pending {
+    std::uint64_t call_id = 0;
     InvokeResultFn done;
     sim::EventId timeout_event = 0;
   };
-  std::map<std::uint64_t, Pending> pending;
+  // A call made while the connection is still being set up: already
+  // encoded, sent as soon as the stream opens.
+  struct Queued {
+    BlockStream frame;
+    std::uint64_t call_id = 0;
+    bool one_way = false;
+    InvokeResultFn done;
+  };
+
+  net::StreamPtr stream;
+  Deframer deframer;
+  bool connecting = false;
+  std::vector<Queued> queued;
+  std::uint64_t next_call_id = 1;
+  std::vector<Pending> pending;  // in call-id order
   sim::Scheduler* sched = nullptr;
+  sim::Duration call_timeout = 0;
 
   void fail_all(const Status& status) {
     auto pending_now = std::move(pending);
     pending.clear();
-    for (auto& [id, p] : pending_now) {
+    for (auto& p : pending_now) {
       if (p.timeout_event != 0) sched->cancel(p.timeout_event);
       if (p.done) p.done(status);
     }
-    auto waiters_now = std::move(waiters);
-    waiters.clear();
-    for (auto& w : waiters_now) w(status);
+    auto queued_now = std::move(queued);
+    queued.clear();
+    for (auto& q : queued_now) q.done(status);
+  }
+
+  // Sends an encoded call on the open stream. `self` is this object; the
+  // call's timeout holds it.
+  void transmit(const std::shared_ptr<Shared>& self, Queued&& q) {
+    if (q.one_way) {
+      stream->send(std::move(q.frame));
+      q.done(Value());
+      return;
+    }
+    Pending p;
+    p.call_id = q.call_id;
+    p.done = std::move(q.done);
+    p.timeout_event =
+        sched->after(call_timeout, [self, call_id = q.call_id] {
+          auto it = self->find(call_id);
+          if (it == self->pending.end()) return;
+          auto timed_out = std::move(it->done);
+          self->pending.erase(it);
+          timed_out(timeout("jini call timed out"));
+        });
+    pending.push_back(std::move(p));
+    stream->send(std::move(q.frame));
+  }
+
+  std::vector<Pending>::iterator find(std::uint64_t call_id) {
+    return std::find_if(
+        pending.begin(), pending.end(),
+        [call_id](const Pending& p) { return p.call_id == call_id; });
+  }
+
+  void on_data(BlockStream&& data) {
+    deframer.push(std::move(data));
+    std::string_view frame;
+    for (;;) {
+      auto got = deframer.next_frame(frame);
+      std::uint64_t call_id = 0;
+      Result<Value> result = Value();
+      if (got.is_ok() && got.value()) {
+        if (auto s = decode_reply_frame(frame, call_id, result); !s.is_ok()) {
+          got = s;
+        }
+      }
+      if (!got.is_ok()) {
+        // A broken frame ends the connection; its calls fail now rather
+        // than at their timeouts.
+        stream->close();
+        fail_all(got.status());
+        return;
+      }
+      if (!got.value()) return;
+      auto it = find(call_id);
+      if (it == pending.end()) continue;
+      auto p = std::move(*it);
+      pending.erase(it);
+      if (p.timeout_event != 0) sched->cancel(p.timeout_event);
+      p.done(std::move(result));
+    }
   }
 };
 
@@ -33,9 +104,9 @@ Proxy::Proxy(net::Network& net, net::NodeId local_node, ServiceItem item,
     : net_(net),
       local_node_(local_node),
       item_(std::move(item)),
-      call_timeout_(call_timeout),
       shared_(std::make_shared<Shared>()) {
   shared_->sched = &net.scheduler();
+  shared_->call_timeout = call_timeout;
 }
 
 Proxy::~Proxy() {
@@ -43,54 +114,26 @@ Proxy::~Proxy() {
   shared_->fail_all(cancelled("proxy destroyed"));
 }
 
-void Proxy::ensure_connected(std::function<void(const Status&)> then) {
-  if (shared_->stream && shared_->stream->is_open()) {
-    then(Status::ok());
-    return;
-  }
-  shared_->waiters.push_back(std::move(then));
-  if (shared_->connecting) return;
+void Proxy::connect() {
   shared_->connecting = true;
   auto shared = shared_;
   net_.connect(local_node_, item_.endpoint,
                [shared](Result<net::StreamPtr> r) {
                  shared->connecting = false;
+                 auto queued = std::move(shared->queued);
+                 shared->queued.clear();
                  if (!r.is_ok()) {
-                   auto waiters = std::move(shared->waiters);
-                   shared->waiters.clear();
-                   for (auto& w : waiters) w(r.status());
+                   for (auto& q : queued) q.done(r.status());
                    return;
                  }
                  shared->stream = r.value();
-                 shared->reader = FrameReader{};
+                 shared->deframer = Deframer();
                  shared->stream->set_on_close(
                      [shared] { shared->fail_all(unavailable("peer closed")); });
                  shared->stream->set_on_data([shared](BlockStream&& data) {
-                   std::vector<Bytes> frames;
-                   if (!shared->reader.feed(std::move(data), frames).is_ok()) {
-                     shared->stream->close();
-                     return;
-                   }
-                   for (const auto& f : frames) {
-                     auto reply = decode_reply(f);
-                     if (!reply.is_ok()) continue;
-                     auto it = shared->pending.find(reply.value().call_id);
-                     if (it == shared->pending.end()) continue;
-                     auto p = std::move(it->second);
-                     shared->pending.erase(it);
-                     if (p.timeout_event != 0) {
-                       shared->sched->cancel(p.timeout_event);
-                     }
-                     if (reply.value().status.is_ok()) {
-                       p.done(reply.value().value);
-                     } else {
-                       p.done(reply.value().status);
-                     }
-                   }
+                   shared->on_data(std::move(data));
                  });
-                 auto waiters = std::move(shared->waiters);
-                 shared->waiters.clear();
-                 for (auto& w : waiters) w(Status::ok());
+                 for (auto& q : queued) shared->transmit(shared, std::move(q));
                });
 }
 
@@ -106,13 +149,18 @@ void Proxy::invoke(const std::string& method, const ValueList& args,
     done(status);
     return;
   }
-  CallMessage msg;
-  msg.call_id = shared_->next_call_id++;
-  msg.service_id = item_.service_id;
-  msg.method = method;
-  msg.args = args;
-  msg.one_way = desc->one_way;
-  send_call(std::move(msg), std::move(done));
+  Shared::Queued call;
+  call.call_id = shared_->next_call_id++;
+  call.one_way = desc->one_way;
+  call.done = std::move(done);
+  write_call_frame(call.frame, call.call_id, item_.service_id, method, args,
+                   call.one_way);
+  if (shared_->stream && shared_->stream->is_open()) {
+    shared_->transmit(shared_, std::move(call));
+    return;
+  }
+  shared_->queued.push_back(std::move(call));
+  if (!shared_->connecting) connect();
 }
 
 Status Proxy::invoke_one_way(const std::string& method,
@@ -124,36 +172,6 @@ Status Proxy::invoke_one_way(const std::string& method,
   }
   invoke(method, args, [](Result<Value>) {});
   return Status::ok();
-}
-
-void Proxy::send_call(CallMessage msg, InvokeResultFn done) {
-  auto shared = shared_;
-  auto timeout_after = call_timeout_;
-  ensure_connected([shared, timeout_after, msg = std::move(msg),
-                    done = std::move(done)](const Status& status) mutable {
-    if (!status.is_ok()) {
-      done(status);
-      return;
-    }
-    if (msg.one_way) {
-      shared->stream->send(frame(encode_call(msg)));
-      done(Value());
-      return;
-    }
-    auto call_id = msg.call_id;
-    Shared::Pending pending;
-    pending.done = std::move(done);
-    pending.timeout_event =
-        shared->sched->after(timeout_after, [shared, call_id] {
-          auto it = shared->pending.find(call_id);
-          if (it == shared->pending.end()) return;
-          auto p = std::move(it->second);
-          shared->pending.erase(it);
-          p.done(timeout("jini call timed out"));
-        });
-    shared->pending.emplace(call_id, std::move(pending));
-    shared->stream->send(frame(encode_call(msg)));
-  });
 }
 
 ServiceHandler Proxy::as_handler() {

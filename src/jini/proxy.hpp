@@ -41,13 +41,11 @@ class Proxy {
  private:
   struct Shared;  // connection + pending-call state, shared with lambdas
 
-  void ensure_connected(std::function<void(const Status&)> then);
-  void send_call(CallMessage msg, InvokeResultFn done);
+  void connect();
 
   net::Network& net_;
   net::NodeId local_node_;
   ServiceItem item_;
-  sim::Duration call_timeout_;
   std::shared_ptr<Shared> shared_;
 };
 

@@ -266,8 +266,13 @@ void MailClient::track(net::StreamPtr stream) {
 void MailClient::untrack(net::Stream* stream) { active_.erase(stream); }
 
 void MailClient::send(const Message& m, DoneFn done) {
-  net_.connect(node_, {server_, kSmtpPort}, [this, m, done = std::move(done)](
-                                                Result<net::StreamPtr> r) {
+  net_.connect(node_, {server_, kSmtpPort},
+               [this, alive = std::weak_ptr<int>(alive_), m,
+                done = std::move(done)](Result<net::StreamPtr> r) {
+    if (alive.expired()) {
+      if (r.is_ok()) r.value()->close();
+      return;
+    }
     if (!r.is_ok()) {
       done(r.status());
       return;
@@ -336,8 +341,12 @@ void MailClient::send(const Message& m, DoneFn done) {
 
 void MailClient::fetch(const std::string& mailbox, MessagesFn done) {
   net_.connect(node_, {server_, kPopPort},
-               [this, mailbox, done = std::move(done)](
-                   Result<net::StreamPtr> r) {
+               [this, alive = std::weak_ptr<int>(alive_), mailbox,
+                done = std::move(done)](Result<net::StreamPtr> r) {
+    if (alive.expired()) {
+      if (r.is_ok()) r.value()->close();
+      return;
+    }
     if (!r.is_ok()) {
       done(r.status());
       return;

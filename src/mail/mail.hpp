@@ -108,6 +108,10 @@ class MailClient {
   sim::Duration watch_interval_ = 0;
   std::function<void(const Message&)> watch_fn_;
   sim::EventId watch_event_ = 0;
+  // Expires with the client. A connect still in flight when the client
+  // is destroyed finds it expired, closes its new stream and drops the
+  // dialogue, as the destructor does for the dialogues already open.
+  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 };
 
 }  // namespace hcm::mail

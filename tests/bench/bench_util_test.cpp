@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -29,7 +31,13 @@ std::string slurp(const std::string& path) {
 class JsonReportTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "bench_util_test.json";
+  // One file per test case and process: ctest -j runs every case as its
+  // own process, and a shared path would let them race.
+  std::string path_ = [] {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "bench_util_test." + info->name() + "." +
+           std::to_string(::getpid()) + ".json";
+  }();
 };
 
 TEST_F(JsonReportTest, EscapesControlCharactersInStrings) {

@@ -137,6 +137,100 @@ TEST_F(X10MappingTest, UnitsAreDistinct) {
   EXPECT_NE(u1.value(), u2.value());
 }
 
+TEST_F(X10MappingTest, FreedUnitCodesAreReused) {
+  InterfaceDesc iface{"I", {MethodDesc{"turnOn", {}, ValueType::kBool,
+                                       false}}};
+  auto handler = [](const std::string&, const ValueList&,
+                    InvokeResultFn done) { done(Value(true)); };
+  // Fifteen long-lived bindings hold units 1..15.
+  for (int i = 0; i < 15; ++i) ASSERT_TRUE(export_with(iface).is_ok());
+  // Fifty arrivals and departures through the one free unit: each
+  // arrival stays bindable and gets the freed code back.
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    LocalService service;
+    service.name = "churn-" + std::to_string(cycle);
+    service.interface = iface;
+    ASSERT_TRUE(adapter->export_service(service, handler).is_ok()) << cycle;
+    EXPECT_EQ(adapter->unit_for(service.name).value(), 16) << cycle;
+    adapter->unexport_service(service.name);
+  }
+  // The lowest free code is handed out first.
+  adapter->unexport_service("svc-3");
+  ASSERT_TRUE(export_with(iface).is_ok());
+  EXPECT_EQ(adapter->unit_for("svc-16").value(), 3);
+  // With all sixteen live the house is full.
+  ASSERT_TRUE(export_with(iface).is_ok());
+  auto status = export_with(iface);
+  ASSERT_FALSE(status.is_ok());
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+}
+
+TEST_F(X10MappingTest, UnmappableServiceTakesNoUnit) {
+  InterfaceDesc unmappable{
+      "Mail",
+      {MethodDesc{"send", {{"to", ValueType::kString}}, ValueType::kBool,
+                  false}}};
+  InterfaceDesc iface{"I", {MethodDesc{"turnOn", {}, ValueType::kBool,
+                                       false}}};
+  EXPECT_FALSE(export_with(unmappable).is_ok());
+  ASSERT_TRUE(export_with(iface).is_ok());
+  EXPECT_EQ(adapter->unit_for("svc-2").value(), 1);
+}
+
+// --- MailAdapter: unexport while a mailbox poll is connecting ------------
+
+TEST(MailAdapterChurn, UnexportMidPollIsSafe) {
+  sim::Scheduler sched;
+  net::Network net{sched};
+  auto& mail_host = net.add_node("mail-host");
+  auto& gateway = net.add_node("mail-gw");
+  auto& wan = net.add_ethernet("internet", sim::milliseconds(20), 10'000'000);
+  net.attach(mail_host, wan);
+  net.attach(gateway, wan);
+  mail::MailServer server(net, mail_host.id());
+  ASSERT_TRUE(server.start().is_ok());
+  MailAdapter adapter(net, gateway.id(), mail_host.id(), "home",
+                      sim::seconds(5));
+  LocalService service;
+  service.name = "lamp";
+  service.interface = InterfaceDesc{
+      "Switch", {MethodDesc{"turnOn", {}, ValueType::kBool, false}}};
+  int invoked = 0;
+  ASSERT_TRUE(adapter
+                  .export_service(service,
+                                  [&](const std::string&, const ValueList&,
+                                      InvokeResultFn done) {
+                                    ++invoked;
+                                    done(Value(true));
+                                  })
+                  .is_ok());
+  // The first poll fires at 5 s and opens a POP connection, which takes
+  // a WAN round trip; the departure lands while it is in flight and
+  // destroys the mailbox watcher under it.
+  sched.run_until(sched.now() + sim::seconds(5));
+  adapter.unexport_service("lamp");
+  // A message the departed service must never see.
+  mail::Message m;
+  m.from = "bob";
+  m.to = "svc-lamp";
+  m.subject = "turnOn";
+  server.deliver(m);
+  sched.run_until(sched.now() + sim::seconds(30));
+  EXPECT_EQ(invoked, 0);
+  // The service can come back and is served again.
+  ASSERT_TRUE(adapter
+                  .export_service(service,
+                                  [&](const std::string&, const ValueList&,
+                                      InvokeResultFn done) {
+                                    ++invoked;
+                                    done(Value(true));
+                                  })
+                  .is_ok());
+  sched.run_until(sched.now() + sim::seconds(30));
+  EXPECT_EQ(invoked, 1);
+  adapter.unexport_service("lamp");
+}
+
 // --- Mail island end-to-end with custom poll interval -------------------
 
 TEST(MailIslandPolling, PollIntervalBoundsNotificationLatency) {

@@ -145,6 +145,25 @@ TEST_F(MailTest, WatchLatencyBoundedByPollInterval) {
   client->unwatch();
 }
 
+TEST_F(MailTest, ClientDestroyedWhileConnectingDropsTheDialogue) {
+  // Both dialogues start with a connect that takes a round trip; the
+  // client is gone before either completes. Neither callback may run
+  // and nothing may touch the destroyed client.
+  bool sent = false;
+  bool fetched = false;
+  Message m;
+  m.from = "tester";
+  m.to = "alice";
+  m.subject = "never";
+  client->send(m, [&](const Status&) { sent = true; });
+  client->fetch("alice", [&](Result<std::vector<Message>>) { fetched = true; });
+  client.reset();
+  sched.run();
+  EXPECT_FALSE(sent);
+  EXPECT_FALSE(fetched);
+  EXPECT_EQ(server->mailbox_size("alice"), 0u);
+}
+
 TEST_F(MailTest, ServerDownFailsSend) {
   server_node->set_up(false);
   EXPECT_FALSE(send("home", "s", "b").is_ok());

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "hcm_analyze/analysis.hpp"
 #include "hcm_analyze/passes.hpp"
@@ -431,6 +434,54 @@ TEST(HotpathTest, BytesGrowthIgnoresNonBytesNamesAndScope) {
                               HotScope{"src/net/f.cpp", {"hot_send"}});
   EXPECT_EQ(count_rule(fs, "hotpath-bytes-growth"), 0)
       << format_findings(fs);
+}
+
+// The checked-in manifest gates the binary VSG channel's per-call path:
+// a std::function, make_shared or node container reintroduced in one of
+// its per-call functions is a finding, while connection set-up in the
+// same file stays outside the sweep.
+TEST(HotpathTest, ManifestGatesBinaryChannelPerCallPath) {
+  std::ifstream in(HCM_SOURCE_DIR "/tools/hcm_analyze/hotpath_manifest.txt");
+  ASSERT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::vector<HotScope> scopes = parse_manifest(text.str());
+  const auto scope_of = [&](const std::string& path) -> const HotScope* {
+    for (const HotScope& s : scopes) {
+      if (s.path == path) return &s;
+    }
+    return nullptr;
+  };
+  const HotScope* channel = scope_of("src/core/binary_channel.cpp");
+  ASSERT_NE(channel, nullptr);
+  TokenStream ts = lex(
+      "void BinaryRpcServer::on_accept(net::StreamPtr s) {\n"        // 1
+      "  auto conn = std::make_shared<Conn>();\n"                     // 2
+      "}\n"                                                           // 3
+      "void BinaryRpcClient::call(const std::string& m) {\n"          // 4
+      "  std::function<void()> cb;\n"                                 // 5
+      "  auto w = std::make_shared<int>(1);\n"                        // 6
+      "}\n"                                                           // 7
+      "void BinaryRpcServer::dispatch() {\n"                          // 8
+      "  std::map<int, int> pending;\n"                               // 9
+      "}\n"                                                           // 10
+      "void BinaryRpcClient::Conn::on_data() {\n"                     // 11
+      "  std::unordered_map<int, int> byid;\n"                        // 12
+      "}\n");
+  Findings fs = hotpath_check(channel->path, ts, *channel);
+  EXPECT_EQ(count_rule(fs, "hotpath-std-function"), 1) << format_findings(fs);
+  ASSERT_EQ(count_rule(fs, "hotpath-make"), 1) << format_findings(fs);
+  EXPECT_EQ(find_rule(fs, "hotpath-make")->line, 6);
+  EXPECT_EQ(count_rule(fs, "hotpath-node-container"), 2)
+      << format_findings(fs);
+
+  // The shared deframer and the codec under it are gated whole-file.
+  for (const char* path :
+       {"src/common/wire_frame.cpp", "src/common/value_codec.cpp"}) {
+    const HotScope* scope = scope_of(path);
+    ASSERT_NE(scope, nullptr) << path;
+    EXPECT_TRUE(scope->fns.empty()) << path;
+  }
 }
 
 // --- shard readiness ----------------------------------------------------
