@@ -133,13 +133,19 @@ struct Mesh {
     }
   }
 
-  // One synchronization round: every PCM refreshes concurrently (what
-  // MetaMiddleware::refresh_all does per round), drained to completion.
+  // One synchronization round as MetaMiddleware::refresh_all runs it:
+  // every PCM publishes, then every PCM imports, each phase concurrent
+  // across islands and drained to completion.
   Status refresh_round() {
+    if (auto s = run_phase(&core::Pcm::publish); !s.is_ok()) return s;
+    return run_phase(&core::Pcm::import);
+  }
+
+  Status run_phase(void (core::Pcm::*phase)(core::Pcm::DoneFn)) {
     std::size_t remaining = islands.size();
     Status first_error;
     for (auto& box : islands) {
-      box.pcm->refresh([&](const Status& s) {
+      ((*box.pcm).*phase)([&](const Status& s) {
         if (!s.is_ok() && first_error.is_ok()) first_error = s;
         --remaining;
       });
@@ -163,9 +169,8 @@ struct RunResult {
 RunResult run_config(std::size_t n_islands, std::size_t services,
                      std::size_t churn, core::Pcm::SyncMode mode) {
   Mesh mesh(n_islands, services, mode);
-  // Converge: two rounds make every island see every other island's
-  // initial publications (same convention as MetaMiddleware).
-  (void)mesh.refresh_round();
+  // Converge: one round publishes everywhere before anyone imports, so
+  // every island sees every other island's initial publications.
   (void)mesh.refresh_round();
 
   std::vector<double> latency;

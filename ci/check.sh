@@ -36,10 +36,12 @@
 #      dump (top ops, shard throughput, health) with a nonzero row
 #      count — the dump format, the hcm_top parser, and the dashboard
 #      panels verify end to end on real scenario data;
-#  13. hcmbench smoke: two-second rpc-binary and rpc-soap runs of the
-#      framework benchmark. hcmbench checks every reply against its
+#  13. hcmbench smoke: two-second rpc-binary, rpc-soap and home runs of
+#      the framework benchmark. hcmbench checks every reply against its
 #      generated expectation and exits nonzero on a wrong one, so a
-#      broken wire path (either protocol) fails here end to end.
+#      broken wire path (either protocol) fails here end to end; home
+#      is the one workload that runs refresh_all, churn, the PCMs and
+#      the adapters.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -125,8 +127,9 @@ echo "=== [12/13] fleet telemetry gate: hcm_top over the smoke-run series dump =
 rows="$(./build/tools/hcm_top/hcm_top SERIES_smoke.json | grep '^rows:' | awk '{print $2}')"
 echo "hcm_top rendered ${rows} rows from SERIES_smoke.json"
 
-echo "=== [13/13] hcmbench smoke: rpc-binary and rpc-soap end to end ==="
+echo "=== [13/13] hcmbench smoke: rpc-binary, rpc-soap and home end to end ==="
 python3 hcmbench/run.py --workload rpc-binary --seed 7919 --seconds 2
 python3 hcmbench/run.py --workload rpc-soap --seed 7919 --seconds 2
+python3 hcmbench/run.py --workload home --seed 7919 --seconds 2
 
 echo "All checks passed."

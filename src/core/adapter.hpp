@@ -46,6 +46,15 @@ class MiddlewareAdapter {
                                               ServiceHandler handler) = 0;
   virtual void unexport_service(const std::string& name) = 0;
 
+  // Calls `done` once every native registration that export_service /
+  // unexport_service made so far has been acknowledged by the
+  // middleware, so exported server proxies are discoverable (and
+  // retired ones gone) through native lookup. The PCM's import waits on
+  // it. Adapters whose export takes effect synchronously keep the
+  // default, which calls `done` at once.
+  using SettledFn = std::function<void()>;
+  virtual void settle(SettledFn done) { done(); }
+
   // --- Event bridge hooks (core/event_router) ---------------------------
   // All three default to no-ops so adapters predating the event bridge
   // (and third-party ones) keep working; islands whose middleware has a

@@ -121,7 +121,7 @@ Status HaviAdapter::export_service(const LocalService& service,
       {havi::kAttrInterface, interface_to_value(service.interface)},
       {"hcm.imported", Value(true)},
   };
-  registry_.register_element(seid, attrs, [](const Status&) {});
+  registry_.register_element(seid, attrs, registrations_.track());
   exported_[service.name] = Exported{seid, std::move(handler)};
   return Status::ok();
 }
@@ -129,7 +129,7 @@ Status HaviAdapter::export_service(const LocalService& service,
 void HaviAdapter::unexport_service(const std::string& name) {
   auto it = exported_.find(name);
   if (it == exported_.end()) return;
-  registry_.unregister_element(it->second.seid, [](const Status&) {});
+  registry_.unregister_element(it->second.seid, registrations_.track());
   ms_.unregister_element(it->second.seid);
   exported_.erase(it);
 }

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "core/adapter.hpp"
+#include "core/adapters/registration_tracker.hpp"
 #include "havi/event_manager.hpp"
 #include "havi/registry.hpp"
 
@@ -24,6 +25,11 @@ class HaviAdapter : public MiddlewareAdapter {
   [[nodiscard]] Status export_service(const LocalService& service,
                                       ServiceHandler handler) override;
   void unexport_service(const std::string& name) override;
+  // Waits for the bus Registry to acknowledge every registerElement and
+  // unregisterElement sent for server proxies so far.
+  void settle(SettledFn done) override {
+    registrations_.settle(std::move(done));
+  }
 
   // Event bridge: subscribes the adapter's SE to "<service>.<event>"
   // topics at the Event Manager; emit_event posts the same topics so
@@ -48,6 +54,7 @@ class HaviAdapter : public MiddlewareAdapter {
     ServiceHandler handler;  // direct dispatch while registration settles
   };
   std::map<std::string, Exported> exported_;
+  RegistrationTracker registrations_;
   struct Watch {
     std::vector<std::string> topics;
     AdapterEventFn fn;

@@ -174,7 +174,7 @@ Status JiniAdapter::export_service(const LocalService& service,
   item.attributes["hcm.imported"] = Value(true);
   exported.registrar = std::make_unique<jini::Registrar>(
       net_, node_, lookup_.proxy().item().endpoint, std::move(item));
-  exported.registrar->join([](const Status&) {});
+  exported.registrar->join(registrations_.track());
   exported_[service.name] = std::move(exported);
   return Status::ok();
 }
@@ -185,7 +185,10 @@ void JiniAdapter::unexport_service(const std::string& name) {
   exporter_.unexport_object(it->second.service_id);
   // Cancel the lease so the lookup service drops the item promptly.
   auto registrar = std::shared_ptr<jini::Registrar>(std::move(it->second.registrar));
-  registrar->cancel([registrar](const Status&) {});
+  registrar->cancel(
+      [registrar, settled = registrations_.track()](const Status& s) {
+        settled(s);
+      });
   exported_.erase(it);
 }
 

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/adapter.hpp"
+#include "core/adapters/registration_tracker.hpp"
 #include "jini/exporter.hpp"
 #include "jini/registrar.hpp"
 
@@ -26,6 +27,11 @@ class JiniAdapter : public MiddlewareAdapter {
   [[nodiscard]] Status export_service(const LocalService& service,
                                       ServiceHandler handler) override;
   void unexport_service(const std::string& name) override;
+  // Waits for the lookup service to acknowledge every server proxy's
+  // lease join and every departure's lease cancel sent so far.
+  void settle(SettledFn done) override {
+    registrations_.settle(std::move(done));
+  }
 
   // Event bridge: registers a remote-event listener with the native
   // service (its "notify" method, the Jini remote-event pattern);
@@ -57,6 +63,9 @@ class JiniAdapter : public MiddlewareAdapter {
     std::int64_t next_listener = 1;
   };
   std::map<std::string, Exported> exported_;
+  // Declared after exported_, so it is destroyed first: joins that the
+  // registrars fail during teardown reach no settle waiter.
+  RegistrationTracker registrations_;
   std::uint64_t next_export_ = 1;
   struct Watch {
     std::string listener_id;        // exported listener object

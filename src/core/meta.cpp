@@ -39,56 +39,80 @@ MetaMiddleware::Island* MetaMiddleware::island(const std::string& name) {
   return it == islands_.end() ? nullptr : &it->second;
 }
 
-void MetaMiddleware::refresh_all(DoneFn done) {
-  // Two passes: refresh() itself is publish-then-import, so running a
-  // second round guarantees each island sees services published by
-  // islands that refreshed after it in the first round.
-  // Each island's PCM runs on the shard owning its gateway node; its
-  // refresh must be initiated there, and the per-island completions
+void MetaMiddleware::run_phase(
+    std::vector<Pcm*> pcms, void (Pcm::*phase)(Pcm::DoneFn),
+    std::function<void(std::vector<Status>)> next) {
+  // Each island's PCM runs on the shard owning its gateway node; the
+  // phase must be initiated there, and the per-island completions
   // marshaled back to the caller's shard, where the shared round
   // bookkeeping lives (single-writer, so no atomics needed).
+  if (pcms.empty()) {
+    next({});
+    return;
+  }
+  struct Round {
+    std::vector<Status> statuses;
+    std::size_t remaining;
+    std::function<void(std::vector<Status>)> next;
+  };
+  auto round = std::make_shared<Round>(
+      Round{std::vector<Status>(pcms.size()), pcms.size(), std::move(next)});
   const sim::ShardId origin = ShardChannel::current_shard(net_);
-  auto run_round = [this, origin](DoneFn next) {
-    auto remaining = std::make_shared<std::size_t>(islands_.size());
-    auto first_error = std::make_shared<Status>();
-    if (*remaining == 0) {
-      next(Status::ok());
-      return;
-    }
-    auto next_shared = std::make_shared<DoneFn>(std::move(next));
-    for (auto& [name, island] : islands_) {
-      ShardChannel::run_on_node(
-          net_, island.vsg->node(),
-          [this, origin, pcm = island.pcm.get(), remaining, first_error,
-           next_shared] {
-            pcm->refresh([this, origin, remaining, first_error,
-                          next_shared](const Status& s) {
-              ShardChannel::run_on_shard(
-                  net_, origin, [s, remaining, first_error, next_shared] {
-                    if (!s.is_ok() && first_error->is_ok()) *first_error = s;
-                    if (--*remaining == 0) (*next_shared)(*first_error);
-                  });
+  for (std::size_t i = 0; i < pcms.size(); ++i) {
+    Pcm* pcm = pcms[i];
+    ShardChannel::run_on_node(
+        net_, pcm->vsg().node(), [this, origin, pcm, phase, round, i] {
+          (pcm->*phase)([this, origin, round, i](const Status& s) {
+            ShardChannel::run_on_shard(net_, origin, [s, round, i] {
+              round->statuses[i] = s;
+              if (--round->remaining == 0) {
+                round->next(std::move(round->statuses));
+              }
             });
           });
-    }
-  };
-  // After both rounds, renew the observability publications so an
-  // enabled island's introspection entry keeps its lease exactly like
-  // the PCM-published services.
-  auto finish = [this, done = std::move(done)](const Status& s) mutable {
-    if (!s.is_ok()) {
-      done(s);
-      return;
-    }
-    republish_observability(std::move(done));
-  };
-  run_round([run_round, finish = std::move(finish)](const Status& s) mutable {
-    if (!s.is_ok()) {
-      finish(s);
-      return;
-    }
-    run_round(std::move(finish));
-  });
+        });
+  }
+}
+
+void MetaMiddleware::refresh_all(DoneFn done) {
+  // One pass in two phases. Every island publishes (and renews its
+  // lease) before any island imports, so each import already sees every
+  // other island's changes from this round, whatever the island order.
+  // An island whose publish failed sits the import out; the rest still
+  // import, so a dead island cannot freeze the healthy ones' view.
+  std::vector<Pcm*> pcms;
+  pcms.reserve(islands_.size());
+  for (auto& [name, island] : islands_) pcms.push_back(island.pcm.get());
+  run_phase(
+      pcms, &Pcm::publish,
+      [this, pcms, done = std::move(done)](
+          std::vector<Status> published) mutable {
+        Status first_error;
+        std::vector<Pcm*> importers;
+        for (std::size_t i = 0; i < pcms.size(); ++i) {
+          if (published[i].is_ok()) {
+            importers.push_back(pcms[i]);
+          } else if (first_error.is_ok()) {
+            first_error = published[i];
+          }
+        }
+        run_phase(
+            std::move(importers), &Pcm::import,
+            [this, first_error, done = std::move(done)](
+                std::vector<Status> imported) mutable {
+              for (const auto& s : imported) {
+                if (!s.is_ok() && first_error.is_ok()) first_error = s;
+              }
+              if (!first_error.is_ok()) {
+                done(first_error);
+                return;
+              }
+              // Renew the observability publications so an enabled
+              // island's introspection entry keeps its lease exactly
+              // like the PCM-published services.
+              republish_observability(std::move(done));
+            });
+      });
 }
 
 Status MetaMiddleware::enable_observability(const std::string& island_name) {

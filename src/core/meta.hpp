@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/event_router.hpp"
 #include "core/pcm.hpp"
@@ -52,9 +53,14 @@ class MetaMiddleware {
   [[nodiscard]] Pcm::SyncMode sync_mode() const { return sync_mode_; }
 
   using DoneFn = std::function<void(const Status&)>;
-  // Two-phase synchronization across all islands: every PCM publishes
-  // its locals, then every PCM imports, so ordering between islands
-  // doesn't matter.
+  // One synchronization pass over all islands, in two phases: every PCM
+  // publishes (lists its locals, publishes or unpublishes them, renews
+  // its lease), and only then does every PCM whose publish succeeded
+  // import. Each import therefore sees every island's publications of
+  // this pass, so island order doesn't matter, and one pass costs one
+  // changesSince per island. `done` fires once every imported server
+  // proxy is visible through its island's native lookup (the adapters'
+  // settle contract), with the first error any island reported.
   void refresh_all(DoneFn done);
 
   // Starts periodic refresh (service dynamism: arrivals/departures
@@ -92,6 +98,11 @@ class MetaMiddleware {
     std::unique_ptr<VsrClient> vsr;
   };
 
+  // Runs `phase` (Pcm::publish or Pcm::import) on every PCM, each on
+  // its gateway's shard, and calls `next` on the caller's shard with
+  // the statuses in `pcms` order once all have finished.
+  void run_phase(std::vector<Pcm*> pcms, void (Pcm::*phase)(Pcm::DoneFn),
+                 std::function<void(std::vector<Status>)> next);
   void republish_observability(DoneFn done);
 
   net::Network& net_;

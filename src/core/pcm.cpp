@@ -23,21 +23,43 @@ Pcm::Pcm(net::Network& net, VirtualServiceGateway& vsg, net::Endpoint vsr,
           obs_scope_ + ".refresh_latency_us")) {}
 
 void Pcm::refresh(DoneFn done) {
+  publish([this, done = std::move(done)](const Status& s) mutable {
+    if (!s.is_ok()) {
+      done(s);
+      return;
+    }
+    import(std::move(done));
+  });
+}
+
+void Pcm::publish(DoneFn done) {
   refreshes_.inc();
-  done = [done = std::move(done), &sched = net_.scheduler(),
-          &latency = refresh_latency_us_,
-          start = net_.scheduler().now()](const Status& s) {
-    latency.observe(sched.now() - start);
+  refresh_start_ = net_.scheduler().now();
+  publish_locals([this, done = std::move(done)](const Status& s) {
+    if (!s.is_ok()) end_refresh();
     done(s);
+  });
+}
+
+void Pcm::import(DoneFn done) {
+  // Registrations made by the conversions (Jini joins, HAVi registry
+  // records) land asynchronously; wait for them so "imported" means
+  // "natively visible" to the caller.
+  DoneFn settled = [this, done = std::move(done)](const Status& s) mutable {
+    adapter_->settle([this, s, done = std::move(done)] {
+      end_refresh();
+      done(s);
+    });
   };
-  publish_locals(
-      [this, done = std::move(done)](const Status& publish_status) mutable {
-        if (!publish_status.is_ok()) {
-          done(publish_status);
-          return;
-        }
-        import_remotes(std::move(done));
-      });
+  if (sync_mode_ == SyncMode::kSnapshot) {
+    import_snapshot(std::move(settled));
+  } else {
+    import_delta(std::move(settled));
+  }
+}
+
+void Pcm::end_refresh() {
+  refresh_latency_us_.observe(net_.scheduler().now() - refresh_start_);
 }
 
 void Pcm::publish_locals(DoneFn done) {
@@ -169,14 +191,6 @@ void Pcm::republish_all(DoneFn done) {
     }
     step(Status::ok());
   });
-}
-
-void Pcm::import_remotes(DoneFn done) {
-  if (sync_mode_ == SyncMode::kSnapshot) {
-    import_snapshot(std::move(done));
-  } else {
-    import_delta(std::move(done));
-  }
 }
 
 bool Pcm::apply_upsert(const std::string& name, const std::string& origin,

@@ -1,9 +1,10 @@
 // Protocol Conversion Manager (paper §3.2): per-island component that
 // keeps the two proxy populations in sync with reality:
-//   refresh() publishes every local service through a generated Client
-//   Proxy (VSG exposure + WSDL in the VSR), and imports every foreign
-//   VSR entry as a generated Server Proxy exported into the local
-//   middleware. Services that disappear from the VSR are unexported.
+//   publish() exposes every local service through a generated Client
+//   Proxy (VSG exposure + WSDL in the VSR); import() turns every foreign
+//   VSR entry into a generated Server Proxy exported into the local
+//   middleware, and unexports those whose entry disappeared. refresh()
+//   is the two in sequence, for callers that manage a single island.
 //
 // Synchronization is incremental by default (SyncMode::kDelta): the PCM
 // keeps a per-registry cursor and only parses / generates proxies for
@@ -33,8 +34,21 @@ class Pcm {
 
   using DoneFn = std::function<void(const Status&)>;
 
-  // Full synchronization pass (publish CPs, then import/retire SPs).
+  // Full synchronization pass for one island: publish(), then import().
   void refresh(DoneFn done);
+
+  // The two halves of a refresh, for callers that interleave islands
+  // (MetaMiddleware::refresh_all publishes on every island before any
+  // imports). publish() begins a refresh — counted in
+  // pcm.<island>.refreshes — and lists, publishes or unpublishes the
+  // local services, then renews this island's VSR lease. import()
+  // applies the VSR changes since the last import and ends the refresh
+  // (refresh_latency_us spans both halves); it completes only once the
+  // adapter has settled, so every imported server proxy is visible
+  // through the native middleware when `done` fires. A failed publish
+  // also ends the refresh.
+  void publish(DoneFn done);
+  void import(DoneFn done);
 
   void set_sync_mode(SyncMode mode) { sync_mode_ = mode; }
   [[nodiscard]] SyncMode sync_mode() const { return sync_mode_; }
@@ -81,9 +95,9 @@ class Pcm {
   };
 
   void publish_locals(DoneFn done);
+  void end_refresh();
   void renew_origin_lease(DoneFn done);  // delta steady state: one call
   void republish_all(DoneFn done);       // fallback when renewal refused
-  void import_remotes(DoneFn done);
   void import_snapshot(DoneFn done);
   void import_delta(DoneFn done);
   // Imports/updates one foreign entry; returns false on the non-fatal
@@ -107,6 +121,7 @@ class Pcm {
   obs::Counter& renew_fallbacks_;
   obs::Counter& refreshes_;
   obs::Histogram& refresh_latency_us_;
+  sim::SimTime refresh_start_ = 0;  // when the open refresh's publish began
 };
 
 }  // namespace hcm::core

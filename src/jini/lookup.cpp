@@ -63,11 +63,12 @@ Result<Value> LookupService::do_register(const ValueList& args) {
 
   Registration reg;
   reg.item = std::move(item).take();
+  reg.encoded = reg.item.to_value();
   reg.lease_id = "lease-" + std::to_string(next_lease_++);
   reg.expiry_event = net_.scheduler().after(
       lease, [this, lease_id = reg.lease_id] { expire_lease(lease_id); });
   leases_[reg.lease_id] = service_id;
-  fire_event(kEventRegistered, reg.item);
+  fire_event(kEventRegistered, reg.encoded);
   auto lease_id = reg.lease_id;
   services_[service_id] = std::move(reg);
   return Value(ValueMap{
@@ -119,7 +120,7 @@ Result<Value> LookupService::do_lookup(const ValueList& args) {
         break;
       }
     }
-    if (ok) matches.push_back(reg.item.to_value());
+    if (ok) matches.push_back(reg.encoded);
   }
   return Value(std::move(matches));
 }
@@ -158,16 +159,16 @@ void LookupService::remove_service(const std::string& service_id) {
   if (it == services_.end()) return;
   net_.scheduler().cancel(it->second.expiry_event);
   leases_.erase(it->second.lease_id);
-  ServiceItem item = std::move(it->second.item);
+  Value encoded = std::move(it->second.encoded);
   services_.erase(it);
-  fire_event(kEventRemoved, item);
+  fire_event(kEventRemoved, encoded);
 }
 
-void LookupService::fire_event(const char* type, const ServiceItem& item) {
+void LookupService::fire_event(const char* type, const Value& encoded_item) {
   ++events_fired_;
   for (auto& [id, listener] : listeners_) {
     listener.proxy->invoke_one_way(
-        "serviceEvent", {Value(std::string(type)), item.to_value()});
+        "serviceEvent", {Value(std::string(type)), encoded_item});
   }
 }
 

@@ -46,7 +46,7 @@ class LookupService {
   Result<Value> do_notify(const ValueList& args);
   void expire_lease(const std::string& lease_id);
   void remove_service(const std::string& service_id);
-  void fire_event(const char* type, const ServiceItem& item);
+  void fire_event(const char* type, const Value& encoded_item);
 
   net::Network& net_;
   net::NodeId node_;
@@ -54,6 +54,9 @@ class LookupService {
 
   struct Registration {
     ServiceItem item;
+    // item.to_value(), built once at registration: lookups and events
+    // reply with it instead of re-encoding the interface every time.
+    Value encoded;
     std::string lease_id;
     sim::EventId expiry_event = 0;
   };

@@ -22,6 +22,7 @@ struct Proxy::Shared {
   net::StreamPtr stream;
   Deframer deframer;
   bool connecting = false;
+  bool closed = false;  // the Proxy is gone
   std::vector<Queued> queued;
   std::uint64_t next_call_id = 1;
   std::vector<Pending> pending;  // in call-id order
@@ -110,6 +111,7 @@ Proxy::Proxy(net::Network& net, net::NodeId local_node, ServiceItem item,
 }
 
 Proxy::~Proxy() {
+  shared_->closed = true;
   if (shared_->stream) shared_->stream->close();
   shared_->fail_all(cancelled("proxy destroyed"));
 }
@@ -120,6 +122,13 @@ void Proxy::connect() {
   net_.connect(local_node_, item_.endpoint,
                [shared](Result<net::StreamPtr> r) {
                  shared->connecting = false;
+                 if (shared->closed) {
+                   // Destroyed while connecting; its calls have already
+                   // failed. Adopting the stream would tie it and this
+                   // state into a cycle that is never freed.
+                   if (r.is_ok()) r.value()->close();
+                   return;
+                 }
                  auto queued = std::move(shared->queued);
                  shared->queued.clear();
                  if (!r.is_ok()) {

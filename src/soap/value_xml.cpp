@@ -4,6 +4,7 @@
 
 #include "common/base64.hpp"
 #include "common/strings.hpp"
+#include "common/value_codec.hpp"
 
 namespace hcm::soap {
 
@@ -163,7 +164,8 @@ void value_write(std::string_view name, const Value& v, xml::Writer& w) {
   value_write_keyed(name, v, w, nullptr);
 }
 
-Result<Value> value_from_xml(const xml::Element& elem) {
+Result<Value> value_from_xml(const xml::Element& elem, int depth) {
+  if (depth > kMaxValueDepth) return protocol_error("value nesting too deep");
   if (const auto* nil = elem.attr_local("nil");
       nil != nullptr && (*nil == "true" || *nil == "1")) {
     return Value();
@@ -220,7 +222,7 @@ Result<Value> value_from_xml(const xml::Element& elem) {
     case ValueType::kList: {
       ValueList list;
       for (const auto& c : elem.children()) {
-        auto item = value_from_xml(*c);
+        auto item = value_from_xml(*c, depth + 1);
         if (!item.is_ok()) return item.status();
         list.push_back(std::move(item).take());
       }
@@ -229,7 +231,7 @@ Result<Value> value_from_xml(const xml::Element& elem) {
     case ValueType::kMap: {
       ValueMap map;
       for (const auto& c : elem.children()) {
-        auto item = value_from_xml(*c);
+        auto item = value_from_xml(*c, depth + 1);
         if (!item.is_ok()) return item.status();
         std::string key(c->local_name());
         if (key == "entry") {
@@ -245,7 +247,8 @@ Result<Value> value_from_xml(const xml::Element& elem) {
   return protocol_error("unhandled value type");
 }
 
-Result<Value> value_from_pull(xml::PullParser& p) {
+Result<Value> value_from_pull(xml::PullParser& p, int depth) {
+  if (depth > kMaxValueDepth) return protocol_error("value nesting too deep");
   // Typing attributes must be captured before any event advances the
   // parser past the start tag.
   std::string scratch;
@@ -305,7 +308,7 @@ Result<Value> value_from_pull(xml::PullParser& p) {
         key.assign(kv.value());
       }
     }
-    auto item = value_from_pull(p);
+    auto item = value_from_pull(p, depth + 1);
     if (!item.is_ok()) return item.status();
     kids.emplace_back(std::move(key), std::move(item).take());
   }

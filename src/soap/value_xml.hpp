@@ -12,8 +12,12 @@ namespace hcm::soap {
 void value_to_xml(const std::string& name, const Value& v, xml::Element& parent);
 
 // Decodes an encoded element produced by value_to_xml (or by any SOAP
-// peer using xsd/SOAP-ENC types).
-[[nodiscard]] Result<Value> value_from_xml(const xml::Element& elem);
+// peer using xsd/SOAP-ENC types). `depth` is the element's nesting
+// level (0 for a top-level value); both decoders recurse once per level
+// and fail with protocol_error past kMaxValueDepth, the binary codec's
+// limit, so hostile nesting cannot exhaust the stack.
+[[nodiscard]] Result<Value> value_from_xml(const xml::Element& elem,
+                                           int depth = 0);
 
 // Streaming forms for the wire hot path: byte-identical encoding
 // rendered straight into the writer's buffer, and decoding straight off
@@ -21,7 +25,8 @@ void value_to_xml(const std::string& name, const Value& v, xml::Element& parent)
 void value_write(std::string_view name, const Value& v, xml::Writer& w);
 // Pre: the parser just produced kStart for the encoded element.
 // Post: the matching kEnd has been consumed.
-[[nodiscard]] Result<Value> value_from_pull(xml::PullParser& p);
+[[nodiscard]] Result<Value> value_from_pull(xml::PullParser& p,
+                                            int depth = 0);
 
 // The xsi:type string used for a ValueType ("xsd:long", "xsd:string", ...).
 [[nodiscard]] const char* xsi_type_for(ValueType t);

@@ -96,6 +96,24 @@ const std::string* Element::attr_local(std::string_view name) const {
   return nullptr;
 }
 
+Element::~Element() {
+  // Default unique_ptr teardown recurses once per nesting level and
+  // overflows the stack on a deep document. Drain instead: detach each
+  // descendant's children onto children_ (reused as an explicit stack)
+  // before the descendant dies, so every destroyed element is a leaf.
+  while (!children_.empty()) {
+    ElementPtr e = std::move(children_.back());
+    children_.pop_back();
+    if (e->children_.empty()) continue;
+    if (children_.empty()) {
+      children_.swap(e->children_);  // the deep-chain case: no allocation
+    } else {
+      for (auto& c : e->children_) children_.push_back(std::move(c));
+      e->children_.clear();
+    }
+  }
+}
+
 Element& Element::add_child(std::string name) {
   children_.push_back(std::make_unique<Element>(std::move(name)));
   return *children_.back();

@@ -40,6 +40,9 @@ struct Attribute {
 class Element {
  public:
   explicit Element(std::string name) : name_(std::move(name)) {}
+  // Frees the subtree without recursing once per level, so a document
+  // of any depth can be destroyed.
+  ~Element();
 
   [[nodiscard]] const std::string& name() const { return name_; }
   void set_name(std::string n) { name_ = std::move(n); }

@@ -231,6 +231,88 @@ TEST(MailAdapterChurn, UnexportMidPollIsSafe) {
   adapter.unexport_service("lamp");
 }
 
+// --- settle(): native registrations have landed when it fires ----------
+
+class SettleTest : public ::testing::Test {
+ protected:
+  static LocalService probe() {
+    LocalService service;
+    service.name = "settle-probe";
+    service.interface = InterfaceDesc{
+        "Switchable", {MethodDesc{"turnOn", {}, ValueType::kBool, false}}};
+    return service;
+  }
+  static void echo(const std::string&, const ValueList&, InvokeResultFn done) {
+    done(Value(true));
+  }
+
+  // Calls adapter.settle and drains until it fires; returns what
+  // `observe` read at the moment it fired (nullopt if it never did).
+  template <typename Observe>
+  std::optional<std::size_t> settle(MiddlewareAdapter& adapter,
+                                    Observe observe) {
+    std::optional<std::size_t> at_settle;
+    adapter.settle([&] { at_settle = observe(); });
+    sim::run_until_done(sched, [&] { return at_settle.has_value(); });
+    return at_settle;
+  }
+
+  sim::Scheduler sched;
+  testbed::SmartHome home{sched};
+};
+
+TEST_F(SettleTest, JiniSettlesOnceTheLookupServiceHasTheProxy) {
+  auto lookup_items = [&] { return home.lookup->service_count(); };
+  const std::size_t before = lookup_items();
+  ASSERT_TRUE(home.jini_adapter->export_service(probe(), echo).is_ok());
+  bool early = false;
+  home.jini_adapter->settle([&] { early = true; });
+  EXPECT_FALSE(early) << "the lease join cannot have landed yet";
+  EXPECT_EQ(settle(*home.jini_adapter, lookup_items), before + 1);
+  EXPECT_TRUE(early);
+
+  home.jini_adapter->unexport_service("settle-probe");
+  EXPECT_EQ(settle(*home.jini_adapter, lookup_items), before);
+}
+
+TEST_F(SettleTest, JiniUnexportBeforeTheJoinLandsDoesNotHang) {
+  // The departure destroys the registrar while its join is queued; the
+  // proxy fails the join, which counts as landed.
+  auto lookup_items = [&] { return home.lookup->service_count(); };
+  const std::size_t before = lookup_items();
+  ASSERT_TRUE(home.jini_adapter->export_service(probe(), echo).is_ok());
+  home.jini_adapter->unexport_service("settle-probe");
+  EXPECT_EQ(settle(*home.jini_adapter, lookup_items), before);
+  sched.run_for(sim::seconds(5));
+  EXPECT_EQ(lookup_items(), before);
+}
+
+TEST_F(SettleTest, HaviSettlesOnceTheRegistryHasTheProxy) {
+  auto records = [&] { return home.fav->registry.size(); };
+  const std::size_t before = records();
+  ASSERT_TRUE(home.havi_adapter->export_service(probe(), echo).is_ok());
+  EXPECT_EQ(settle(*home.havi_adapter, records), before + 1);
+
+  home.havi_adapter->unexport_service("settle-probe");
+  EXPECT_EQ(settle(*home.havi_adapter, records), before);
+}
+
+TEST_F(SettleTest, HaviUnexportBeforeTheRecordLandsDoesNotHang) {
+  auto records = [&] { return home.fav->registry.size(); };
+  const std::size_t before = records();
+  ASSERT_TRUE(home.havi_adapter->export_service(probe(), echo).is_ok());
+  home.havi_adapter->unexport_service("settle-probe");
+  EXPECT_EQ(settle(*home.havi_adapter, records), before);
+}
+
+TEST_F(SettleTest, SynchronousAdaptersSettleAtOnce) {
+  // X10 binds a unit code inside export_service: nothing to wait for.
+  ASSERT_TRUE(home.x10_adapter->export_service(probe(), echo).is_ok());
+  bool settled = false;
+  home.x10_adapter->settle([&] { settled = true; });
+  EXPECT_TRUE(settled);
+}
+
 // --- Mail island end-to-end with custom poll interval -------------------
 
 TEST(MailIslandPolling, PollIntervalBoundsNotificationLatency) {

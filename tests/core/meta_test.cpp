@@ -1,6 +1,7 @@
 // MetaMiddleware orchestration behaviours: island bookkeeping, the
-// auto-refresh loop (service dynamism propagating without manual
-// sync), and graceful handling of add/remove edge cases.
+// single-pass refresh_all contract, the auto-refresh loop (service
+// dynamism propagating without manual sync), and graceful handling of
+// add/remove edge cases.
 #include <gtest/gtest.h>
 
 #include "jini/registrar.hpp"
@@ -28,6 +29,54 @@ TEST(MetaMiddlewareTest, DuplicateIslandRejected) {
   ASSERT_FALSE(duplicate.is_ok());
   EXPECT_EQ(duplicate.status().code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(home.meta->island_count(), 4u);
+}
+
+TEST(MetaMiddlewareTest, RefreshAllAsksTheVsrForChangesOncePerIsland) {
+  // The registry counts every changesSince it answers, as a full sync
+  // (a PCM's first) or a delta. One refresh_all is one pass, cold or
+  // steady: each island's import asks exactly once.
+  sim::Scheduler sched;
+  SmartHome home(sched);
+  const auto& registry = home.vsr->registry();
+  for (int pass = 0; pass < 3; ++pass) {
+    const auto before = registry.delta_syncs() + registry.full_syncs();
+    ASSERT_TRUE(home.refresh().is_ok()) << "pass " << pass;
+    EXPECT_EQ(registry.delta_syncs() + registry.full_syncs() - before,
+              home.meta->island_count())
+        << "pass " << pass;
+  }
+}
+
+TEST(MetaMiddlewareTest, FirstIslandImportsLastIslandsServiceInOnePass) {
+  // Islands run in name order (MetaMiddleware keeps them in a map):
+  // havi-island first, x10-island last. On the very first refresh_all
+  // the X10 desk lamp must already be a HAVi server proxy, registered
+  // in the HAVi Registry, when done fires — and every import must have
+  // landed in the Jini lookup service.
+  sim::Scheduler sched;
+  SmartHome home(sched);
+  std::optional<Status> done;
+  bool havi_imported = false;
+  std::size_t havi_records = 0;
+  std::size_t jini_items = 0;
+  home.meta->refresh_all([&](const Status& s) {
+    done = s;
+    havi_imported =
+        home.meta->island("havi-island")->pcm->has_imported("desk-lamp");
+    havi_records = home.fav->registry.size();
+    jini_items = home.lookup->service_count();
+  });
+  sim::run_until_done(sched, [&] { return done.has_value(); });
+  ASSERT_TRUE(done.has_value());
+  ASSERT_TRUE(done->is_ok()) << done->to_string();
+  EXPECT_TRUE(havi_imported);
+  // The native laserdisc + 7 server proxies, one per foreign service.
+  EXPECT_EQ(jini_items, 8u);
+  // Nothing was still in flight: letting the simulation run on
+  // registers no further record in either native registry.
+  sched.run_for(sim::seconds(5));
+  EXPECT_EQ(home.fav->registry.size(), havi_records);
+  EXPECT_EQ(home.lookup->service_count(), jini_items);
 }
 
 TEST(MetaMiddlewareTest, AutoRefreshPropagatesNewServices) {

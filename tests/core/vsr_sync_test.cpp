@@ -126,9 +126,25 @@ struct SyncMesh {
     return first_error;
   }
 
+  // One pass in MetaMiddleware::refresh_all's two phases: every PCM
+  // publishes, then every PCM imports, so each island sees every other
+  // island's publications of this pass.
   [[nodiscard]] Status converge() {
-    if (auto s = refresh_round(); !s.is_ok()) return s;
-    return refresh_round();
+    if (auto s = run_phase(&Pcm::publish); !s.is_ok()) return s;
+    return run_phase(&Pcm::import);
+  }
+
+  [[nodiscard]] Status run_phase(void (Pcm::*phase)(Pcm::DoneFn)) {
+    std::size_t remaining = islands_.size();
+    Status first_error;
+    for (auto& box : islands_) {
+      ((*box.pcm).*phase)([&](const Status& s) {
+        if (!s.is_ok() && first_error.is_ok()) first_error = s;
+        --remaining;
+      });
+    }
+    sim::run_until_done(sched, [&] { return remaining == 0; });
+    return first_error;
   }
 
   // (island -> imported name -> digest), the full cross-island proxy

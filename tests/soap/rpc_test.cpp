@@ -115,6 +115,45 @@ TEST_F(SoapRpcTest, MalformedEnvelopeRejected) {
   EXPECT_EQ(result->value().status, 400);
 }
 
+TEST_F(SoapRpcTest, DeeplyNestedParameterRejected) {
+  // ~0.7 MB of hostile input: a parameter nesting 100,000 untyped
+  // elements. The decoder must refuse it past the value depth limit
+  // rather than recurse once per level off the end of the stack.
+  bool called = false;
+  service->register_method("echo", [&](const NamedValues&, CallResultFn done) {
+    called = true;
+    done(Value());
+  });
+  constexpr int kDepth = 100'000;
+  std::string body = build_call("urn:test", "echo", {{"v", Value("MARK")}});
+  const std::string param = "<v xsi:type=\"xsd:string\">MARK</v>";
+  const auto at = body.find(param);
+  ASSERT_NE(at, std::string::npos) << body;
+  std::string deep = "<v>";
+  deep.reserve(7 * kDepth + 8);
+  for (int i = 0; i < kDepth; ++i) deep += "<a>";
+  for (int i = 0; i < kDepth; ++i) deep += "</a>";
+  deep += "</v>";
+  body.replace(at, param.size(), deep);
+
+  http::HttpClient raw(net, client_node->id());
+  std::optional<Result<http::Response>> result;
+  http::Request req;
+  req.method = "POST";
+  req.target = "/svc";
+  req.body = std::move(body);
+  raw.request({server_node->id(), 80}, std::move(req),
+              [&](Result<http::Response> r) { result = std::move(r); });
+  sched.run();
+  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result->is_ok()) << result->status().to_string();
+  EXPECT_EQ(result->value().status, 400);
+  EXPECT_FALSE(called);
+  // The server is still serving.
+  auto r = do_call("echo", {{"v", Value(1)}});
+  EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+}
+
 TEST_F(SoapRpcTest, UnregisterMethodRemoves) {
   service->register_method("temp", [](const NamedValues&, CallResultFn done) {
     done(Value(1));

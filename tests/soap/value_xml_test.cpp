@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/value_codec.hpp"
+
 namespace hcm::soap {
 namespace {
 
@@ -94,6 +96,46 @@ TEST(SoapValueTest, MalformedScalarsRejected) {
     auto parsed = xml::parse(bad);
     ASSERT_TRUE(parsed.is_ok()) << bad;
     EXPECT_FALSE(value_from_xml(*parsed.value()).is_ok()) << bad;
+  }
+}
+
+// `levels` untyped elements nested inside a top-level <p>, innermost
+// carrying text: decodes to maps `levels` deep around a string.
+std::string nested_document(int levels) {
+  std::string doc = "<p>";
+  for (int i = 0; i < levels; ++i) doc += "<a>";
+  doc += "x";
+  for (int i = 0; i < levels; ++i) doc += "</a>";
+  return doc + "</p>";
+}
+
+TEST(SoapValueTest, NestingUpToTheCodecLimitDecodes) {
+  // <p> is depth 0; the innermost <a> sits at kMaxValueDepth.
+  const std::string doc = nested_document(kMaxValueDepth);
+  auto parsed = xml::parse(doc);
+  ASSERT_TRUE(parsed.is_ok());
+  auto tree = value_from_xml(*parsed.value());
+  ASSERT_TRUE(tree.is_ok()) << tree.status().to_string();
+  xml::PullParser p(doc);
+  ASSERT_TRUE(p.next().is_ok());
+  auto pulled = value_from_pull(p);
+  ASSERT_TRUE(pulled.is_ok()) << pulled.status().to_string();
+  EXPECT_EQ(pulled.value(), tree.value());
+}
+
+TEST(SoapValueTest, NestingPastTheCodecLimitRejected) {
+  for (int levels : {kMaxValueDepth + 1, 100'000}) {
+    const std::string doc = nested_document(levels);
+    auto parsed = xml::parse(doc);
+    ASSERT_TRUE(parsed.is_ok()) << levels;
+    auto tree = value_from_xml(*parsed.value());
+    ASSERT_FALSE(tree.is_ok()) << levels;
+    EXPECT_EQ(tree.status().code(), StatusCode::kProtocolError) << levels;
+    xml::PullParser p(doc);
+    ASSERT_TRUE(p.next().is_ok());
+    auto pulled = value_from_pull(p);
+    ASSERT_FALSE(pulled.is_ok()) << levels;
+    EXPECT_EQ(pulled.status().code(), StatusCode::kProtocolError) << levels;
   }
 }
 

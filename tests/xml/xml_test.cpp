@@ -181,6 +181,46 @@ TEST(XmlParseTest, AttrEntityErrorsSurface) {
   EXPECT_FALSE(parse("<x a=\"&#xZZ;\"/>").is_ok());
 }
 
+TEST(XmlParseTest, MillionDeepDocumentParsesAndIsDestroyed) {
+  // Parsing keeps an explicit stack; tearing the tree down must too,
+  // or freeing a million nested unique_ptrs overflows the native stack.
+  constexpr int kDepth = 1'000'000;
+  std::string doc;
+  doc.reserve(7 * kDepth + 1);
+  for (int i = 0; i < kDepth; ++i) doc += "<a>";
+  doc += "x";
+  for (int i = 0; i < kDepth; ++i) doc += "</a>";
+  auto parsed = xml::parse(doc);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const Element* e = parsed.value().get();
+  for (int i = 1; i < kDepth; ++i) {
+    ASSERT_EQ(e->children().size(), 1u) << "level " << i;
+    e = e->children().front().get();
+  }
+  EXPECT_EQ(e->text(), "x");
+  parsed = internal_error("released");  // destroys the tree
+}
+
+TEST(XmlBuildTest, BushyTreeIsFullyDestroyed) {
+  // Siblings at every level exercise the teardown's mixed path (a
+  // drained element's children appended behind its pending siblings);
+  // the sanitizer builds would flag anything leaked or freed twice.
+  auto root = std::make_unique<Element>("root");
+  std::vector<Element*> level{root.get()};
+  for (int depth = 0; depth < 6; ++depth) {
+    std::vector<Element*> next;
+    for (Element* e : level) {
+      for (int k = 0; k < 3; ++k) {
+        next.push_back(&e->add_child("n" + std::to_string(k)));
+        next.back()->add_text("t");
+      }
+    }
+    level = std::move(next);
+  }
+  EXPECT_EQ(level.size(), 729u);
+  root.reset();
+}
+
 TEST(XmlPullTest, EventSequenceWithZeroCopyViews) {
   const std::string doc = "<a one=\"1\"><b>text</b><c/></a>";
   PullParser p(doc);
